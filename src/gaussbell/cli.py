@@ -52,7 +52,7 @@ from .gauss import (
     q2_characteristic,
 )
 from .report import CheckResult, Measurement, VerificationReport
-from .verify import SuiteConfig, run_aux_grid, run_suite
+from .verify import SuiteConfig, aux_checks, run_suite
 
 EMBED_TOL = 1e-6
 REPR_TOL = 1e-6
@@ -92,11 +92,6 @@ def _hermite_sum(text: str) -> HermiteFunction:
     return HermiteFunction(tuple(coeffs))
 
 
-def _oneform_sum(text: str) -> OneForm:
-    f = _hermite_sum(text)
-    return OneForm(f.coeffs)
-
-
 def _parse_weight(text: str) -> WeightSpec:
     try:
         return WeightSpec.parse(text)
@@ -104,13 +99,24 @@ def _parse_weight(text: str) -> WeightSpec:
         raise UsageError(str(exc)) from exc
 
 
+# SuiteConfig fields whose verify-bellman flag has another name
+_SUITE_FLAGS = {"q_list": "q", "samples_per_q": "samples",
+                "directions_per_point": "directions"}
+_SUITE_DEFAULTS = {_SUITE_FLAGS.get(k, k): v for k, v in SuiteConfig().as_dict().items()}
+_SUITE_DEFAULTS["q"] = ",".join(f"{q:g}" for q in _SUITE_DEFAULTS["q"])
+
+
+def _suite_config(cfg: dict) -> SuiteConfig:
+    """The SuiteConfig of a resolved verify-bellman configuration."""
+    fields = {k: type(v)(cfg[_SUITE_FLAGS.get(k, k)])
+              for k, v in SuiteConfig().as_dict().items() if k != "q_list"}
+    return SuiteConfig(q_list=tuple(_floats(str(cfg["q"]))), **fields)
+
+
 DEFAULTS = {
-    "verify-bellman": {
-        "q": "1,2,10,100", "samples": 1000, "eta_dim": 1, "seed": 0,
-        "fd_step": 1e-4, "pi_exclusion": 1e-3, "directions": 64,
-        "mollify_eps": 0.0, "mc_samples": 0, "aux_grid_n": 40,
-    },
-    "aux-bounds": {"q": "1,2,10,100", "grid_n": 200, "fd_step": 1e-4},
+    "verify-bellman": _SUITE_DEFAULTS,
+    "aux-bounds": {"q": _SUITE_DEFAULTS["q"], "grid_n": 200,
+                   "fd_step": _SUITE_DEFAULTS["fd_step"]},
     "a2": {"weight": "exp:a=1", "gl_order": SUBORDINATION_ORDER,
            "x_max": 8.0, "x_step": 0.25, "t_min": 1e-3, "t_max": 32.0,
            "t_nodes": 40},
@@ -249,18 +255,7 @@ def _report(cfg: dict, checks, measurements) -> VerificationReport:
 
 def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
     try:
-        suite = SuiteConfig(
-            q_list=tuple(_floats(str(cfg["q"]))),
-            samples_per_q=int(cfg["samples"]),
-            eta_dim=int(cfg["eta_dim"]),
-            seed=int(cfg["seed"]),
-            fd_step=float(cfg["fd_step"]),
-            pi_exclusion=float(cfg["pi_exclusion"]),
-            directions_per_point=int(cfg["directions"]),
-            mollify_eps=float(cfg["mollify_eps"]),
-            mc_samples=int(cfg["mc_samples"]),
-            aux_grid_n=int(cfg["aux_grid_n"]),
-        )
+        suite = _suite_config(cfg)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     report = run_suite(suite, tool_version=__version__)
@@ -275,16 +270,8 @@ def _cmd_aux_bounds(cfg: dict) -> VerificationReport:
             ctx = QContext(q)
         except DomainError as exc:
             raise UsageError(str(exc)) from exc
-        res = run_aux_grid(ctx, int(cfg["grid_n"]), float(cfg["fd_step"]))
-        checks.append(CheckResult(
-            name=f"aux_size[Q={q:g}]", count=res["count"],
-            failures=res["size_failures"], worst_margin=res["size_worst"],
-            argmax_location=res["size_worst_at"]))
-        checks.append(CheckResult(
-            name=f"aux_hessian[Q={q:g}]", count=res["count"],
-            failures=res["hessian_failures"],
-            worst_margin=res["hessian_worst"],
-            argmax_location=res["hessian_worst_at"]))
+        checks.extend(aux_checks(ctx, int(cfg["grid_n"]), float(cfg["fd_step"]),
+                                 f"Q={q:g}"))
     return _report(cfg, checks, [])
 
 
@@ -332,7 +319,7 @@ def _cmd_riesz_norm(cfg: dict) -> VerificationReport:
 def _cmd_embedding(cfg: dict) -> VerificationReport:
     w = _parse_weight(str(cfg["weight"]))
     f = _hermite_sum(str(cfg["f"]))
-    g = _oneform_sum(str(cfg["g"]))
+    g = OneForm(_hermite_sum(str(cfg["g"])).coeffs)
     grid = default_flow_grid(int(cfg["gl_order"]))
     try:
         res = bilinear_lhs(f, g, w, grid)

@@ -186,53 +186,16 @@ class HermiteFunction:
         """L^2(gamma) norm; Parseval is exact in this representation."""
         return float(np.linalg.norm(self.array))
 
-    def __add__(self, other: "HermiteFunction") -> "HermiteFunction":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n)
-        a[: len(self.coeffs)] += self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return HermiteFunction(tuple(a))
-
     def scaled(self, lam: float) -> "HermiteFunction":
-        return HermiteFunction(tuple(lam * v for v in self.coeffs))
+        return type(self)(tuple(lam * v for v in self.coeffs))
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """A one-form (sum_m b_m hhat_m) dx."""
+class OneForm(HermiteFunction):
+    """A one-form (sum_m b_m hhat_m) dx; eval gives the dx-component at x.
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in np.atleast_1d(self.coeffs))
-        if not all(math.isfinite(v) for v in c):
-            raise ModelError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def basis(cls, m: int, size: int | None = None) -> "OneForm":
-        size = (m + 1) if size is None else size
-        c = [0.0] * size
-        c[m] = 1.0
-        return cls(tuple(c))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, x):
-        """The dx-component at x."""
-        return hermite_design(self.order, x) @ self.array
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
-    def scaled(self, lam: float) -> "OneForm":
-        return OneForm(tuple(lam * v for v in self.coeffs))
+    It stores its coefficients like a function; only the semigroups, on
+    which slot m has rate m+1, and weighted_inner tell the two apart.
+    """
 
 
 def exterior_derivative(f: HermiteFunction) -> OneForm:
@@ -265,27 +228,17 @@ def semigroup_apply(obj, t: float, mode: str):
     """
     if t < 0:
         raise ModelError("t must be >= 0")
-    if mode == "heat":
-        if not isinstance(obj, HermiteFunction):
-            raise ModelError("heat mode expects a HermiteFunction")
-        factors = np.exp(-np.arange(len(obj.coeffs)) * t)
-        return HermiteFunction(tuple(obj.array * factors))
-    if mode == "poisson":
-        if not isinstance(obj, HermiteFunction):
-            raise ModelError("poisson mode expects a HermiteFunction")
-        factors = np.exp(-np.sqrt(np.arange(len(obj.coeffs))) * t)
-        return HermiteFunction(tuple(obj.array * factors))
-    if mode == "poisson_oneform":
-        if not isinstance(obj, OneForm):
-            raise ModelError("poisson_oneform mode expects a OneForm")
-        factors = np.exp(-np.sqrt(np.arange(1, len(obj.coeffs) + 1)) * t)
-        return OneForm(tuple(obj.array * factors))
-    if mode == "heat_oneform":
-        if not isinstance(obj, OneForm):
-            raise ModelError("heat_oneform mode expects a OneForm")
-        factors = np.exp(-np.arange(1, len(obj.coeffs) + 1) * t)
-        return OneForm(tuple(obj.array * factors))
-    raise ModelError(f"unknown mode {mode!r}")
+    if mode not in ("heat", "poisson", "poisson_oneform"):
+        raise ModelError(f"unknown mode {mode!r}")
+    oneform = mode == "poisson_oneform"
+    if not isinstance(obj, HermiteFunction) or isinstance(obj, OneForm) != oneform:
+        kind = "a OneForm" if oneform else "a HermiteFunction"
+        raise ModelError(f"{mode} mode expects {kind}")
+    # slot m of a one-form carries the eigenvalue -(m+1) of the Hodge Laplacian
+    rate = np.arange(len(obj.coeffs)) + oneform
+    if mode != "heat":
+        rate = np.sqrt(rate)
+    return type(obj)(tuple(obj.array * np.exp(-rate * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +356,7 @@ def weighted_inner(u, v, w: WeightSpec, quad_order: int | None = None) -> float:
     2*quad_order (constant weights).  u and v must be both functions or
     both one-forms.
     """
-    if isinstance(u, HermiteFunction) != isinstance(v, HermiteFunction):
+    if isinstance(u, OneForm) != isinstance(v, OneForm):
         raise ModelError("weighted_inner needs two functions or two one-forms")
     order = default_quad_order(w) if quad_order is None else quad_order
     if order < 2:
@@ -420,6 +373,19 @@ def weighted_inner(u, v, w: WeightSpec, quad_order: int | None = None) -> float:
 # pointwise flows
 # ---------------------------------------------------------------------------
 
+def _mehler_points(x, s, gx):
+    """Mehler points x e^{-s} + sqrt(1 - e^{-2s}) y, x and s broadcast, y = gx last."""
+    return (x * np.exp(-s))[..., None] \
+        + np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))[..., None] * gx
+
+
+def mehler_heat_apply(f, x, s, quad_order: int) -> np.ndarray:
+    """e^{sL} f at x by the Mehler-average quadrature, f an arbitrary callable."""
+    gx, gw = gh_rule(quad_order)
+    pts = _mehler_points(np.asarray(x, dtype=float), np.asarray(s, dtype=float), gx)
+    return f(pts) @ gw
+
+
 def heat_weight(w: WeightSpec, x, s, quad_order: int | None = None):
     """e^{sL} w at x, broadcasting x and s.
 
@@ -435,43 +401,22 @@ def heat_weight(w: WeightSpec, x, s, quad_order: int | None = None):
         return np.broadcast_to(np.full(1, w.param), np.broadcast(x, s).shape).copy()
     if w.kind == "exp":
         a = w.param
-        return np.exp(a * x * np.exp(-s) + a * a * (1 - np.exp(-2 * s)) / 2)
+        return np.exp(a * (x * np.exp(-s)) + a * a * (1 - np.exp(-2 * s)) / 2)
     order = default_quad_order(w) if quad_order is None else quad_order
-    gx, gw = gh_rule(order)
-    pts = (x * np.exp(-s))[..., None] + np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))[..., None] * gx
-    return w(pts) @ gw
-
-
-def mehler_heat_apply(f, x, s, quad_order: int) -> np.ndarray:
-    """e^{sL} f at x by the Mehler-average quadrature, f an arbitrary callable."""
-    x = np.asarray(x, dtype=float)
-    gx, gw = gh_rule(quad_order)
-    scalar_s = np.isscalar(s) or np.asarray(s).ndim == 0
-    s = np.asarray(s, dtype=float)
-    pts = (x * np.exp(-s))[..., None] + np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))[..., None] * gx
-    out = f(pts) @ gw
-    return out
+    return mehler_heat_apply(w, x, s, order)
 
 
 def _poisson_batch(w: WeightSpec, xs: np.ndarray, t: float, gl_order: int,
                    gh_order: int | None = None) -> np.ndarray:
-    """P_t w at the points xs via subordination (vectorized over xs)."""
+    """P_t w = sum_j w_j e^{s_j L} w at the points xs (vectorized over xs)."""
     xs = np.asarray(xs, dtype=float)
     if w.kind == "const":
+        # exact: the subordination weights sum to 1 only up to rounding
         return np.full(xs.shape, w.param)
     s, wj = subordination_nodes(t, gl_order)
-    if w.kind == "exp":
-        a = w.param
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow -> inf/nan -> the caller rejects non-finite output
-            inner = np.exp(a * np.multiply.outer(xs, np.exp(-s))
-                           + a * a * (1 - np.exp(-2 * s)) / 2)
-            return inner @ wj
-    order = default_quad_order(w) if gh_order is None else gh_order
-    gx, gw = gh_rule(order)
-    sig = np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))
-    pts = np.multiply.outer(xs, np.exp(-s))[..., None] + sig[None, :, None] * gx
-    return (w(pts) @ gw) @ wj
+    with np.errstate(over="ignore", invalid="ignore"):
+        # overflow -> inf/nan -> the caller rejects non-finite output
+        return heat_weight(w, xs[..., None], s, gh_order) @ wj
 
 
 def poisson_weight(w: WeightSpec, x: float, t: float,
@@ -489,13 +434,13 @@ def poisson_weight(w: WeightSpec, x: float, t: float,
     return val
 
 
-def heat_step_quadrature(n: int, x, s: float, quad_order: int) -> np.ndarray:
+def heat_step_quadrature(n: int, x, s, quad_order: int) -> np.ndarray:
     """e^{sL} hhat_n at x via the Mehler average (validation path).
 
     The integrand is a degree-n polynomial, so Gauss-Hermite with
     quad_order > n/2 reproduces e^{-ns} hhat_n(x) to rounding.
     """
-    return mehler_heat_apply(lambda p: hermite_design(n, p)[..., n], x, s,
+    return mehler_heat_apply(lambda p: hermite_eval(n, p, orthonormal=True), x, s,
                              quad_order)
 
 
@@ -504,8 +449,7 @@ def poisson_step_quadrature(n: int, x, t: float, gl_order: int,
     """P_t hhat_n at x via subordination + Mehler quadrature (validation path)."""
     x = np.asarray(x, dtype=float)
     s, wj = subordination_nodes(t, gl_order)
-    vals = heat_step_quadrature(n, x[..., None] * np.ones_like(s), s, gh_order)
-    return vals @ wj
+    return heat_step_quadrature(n, x[..., None], s, gh_order) @ wj
 
 
 def discrete_poisson_kernel(xs, t: float, gl_order: int, gh_order: int):
@@ -520,10 +464,7 @@ def discrete_poisson_kernel(xs, t: float, gl_order: int, gh_order: int):
     xs = np.asarray(xs, dtype=float)
     s, wj = subordination_nodes(t, gl_order)
     gx, gw = gh_rule(gh_order)
-    sig = np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))
-    pts = np.multiply.outer(xs, np.exp(-s))[..., None] + sig[None, :, None] * gx
-    mass = wj[:, None] * gw[None, :]
-    return pts, mass, s
+    return _mehler_points(xs[..., None], s, gx), wj[:, None] * gw[None, :], s
 
 
 def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
@@ -547,57 +488,51 @@ def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
     coefficient discrepancy in b).
     """
     xs = np.asarray(x_nodes, dtype=float)
-    winvs = [w.inverse() for w in ws]
-    worst = {"a": math.inf, "c": math.inf, "d": math.inf, "product": math.inf}
+    worst = {"a": math.inf, "c": math.inf, "d": math.inf, "product": math.inf,
+             "b_gap": 0.0}
+    order = max((h.order for h in (*fs, *gs)), default=0)
     gx, gw = gh_rule(gh_order)
     for t in t_nodes:
         pts, mass, s = discrete_poisson_kernel(xs, t, gl_order, gh_order)
-        es = np.exp(-s)
-        fvals = [f.eval(pts) for f in fs]
-        gvals = [g.eval(pts) for g in gs]
-        for w, winv in zip(ws, winvs):
+        pts = pts.reshape(len(xs), -1)
+        # one-forms flow with the extra factor e^{-s} of the rate shift m -> m+1
+        mass_vec = (mass * np.exp(-s)[:, None]).ravel()
+        mass = mass.ravel()
+        design = hermite_design(order, pts)
+        fvals = [design[..., :f.order + 1] @ f.array for f in fs]
+        gvals = [design[..., :g.order + 1] @ g.array for g in gs]
+        for w in ws:
             wv = w(pts)
-            wiv = winv(pts)
-            p_w = np.einsum("xjk,jk->x", wv, mass)
-            p_winv = np.einsum("xjk,jk->x", wiv, mass)
+            wiv = w.inverse()(pts)
+            p_w = wv @ mass
+            p_winv = wiv @ mass
             worst["product"] = min(worst["product"],
                                    float(np.min(p_w * p_winv - 1.0)))
             for fv in fvals:
-                p_f = np.einsum("xjk,jk->x", fv, mass)
-                p_f2w = np.einsum("xjk,jk->x", fv * fv * wv, mass)
+                p_f = fv @ mass
+                p_f2w = (fv * fv * wv) @ mass
                 worst["a"] = min(worst["a"],
                                  float(np.min(p_f2w * p_winv - p_f**2)))
             for gv in gvals:
-                p_gvec = np.einsum("xjk,jk,j->x", gv, mass, es)
-                p_g2winv = np.einsum("xjk,jk->x", gv * gv * wiv, mass)
+                p_gvec = gv @ mass_vec
+                p_g2winv = (gv * gv * wiv) @ mass
                 worst["d"] = min(worst["d"],
                                  float(np.min(p_g2winv * p_w - p_gvec**2)))
         # c) single Mehler step: scalar heat of |g| dominates the one-form heat
-        hpts = (xs * math.exp(-t))[:, None] \
-            + math.sqrt(max(1 - math.exp(-2 * t), 0.0)) * gx
+        hpts = _mehler_points(xs, t, gx)
         for g in gs:
-            hv = hermite_design(g.order, hpts) @ g.array
+            hv = g.eval(hpts)
             lhs = math.exp(-t) * np.abs(hv @ gw)
             rhs = np.abs(hv) @ gw
             worst["c"] = min(worst["c"], float(np.min(rhs - lhs)))
-    # b) exact diagonal identity, worst over the same t nodes
-    worst_b = 0.0
-    for t in t_nodes:
+        # b) exact diagonal identity
         for f in fs:
             lhs = exterior_derivative(semigroup_apply(f, t, "poisson")).array
             rhs = semigroup_apply(exterior_derivative(f), t,
                                   "poisson_oneform").array
-            worst_b = max(worst_b,
-                          float(np.max(np.abs(lhs - rhs), initial=0.0)))
-    worst["b_gap"] = worst_b
+            worst["b_gap"] = max(worst["b_gap"],
+                                 float(np.max(np.abs(lhs - rhs), initial=0.0)))
     return worst
-
-
-def flow_inequality_margins(f: HermiteFunction, g: OneForm, w: WeightSpec,
-                   x_nodes, t_nodes, gl_order: int = 256,
-                   gh_order: int = QUAD_UNWEIGHTED) -> dict:
-    """flow_inequality_suite for a single (f, g, w) triple."""
-    return flow_inequality_suite([f], [g], [w], x_nodes, t_nodes, gl_order, gh_order)
 
 
 # ---------------------------------------------------------------------------

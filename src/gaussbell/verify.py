@@ -592,6 +592,20 @@ def run_aux_grid(ctx: QContext, n: int, h: float) -> dict:
     }
 
 
+def aux_checks(ctx: QContext, n: int, h: float, label: str) -> list:
+    """The aux_size and aux_hessian checks of the n-by-n slab grid."""
+    aux = run_aux_grid(ctx, n, h)
+    return [
+        CheckResult(name=f"aux_size[{label}]", count=aux["count"],
+                    failures=aux["size_failures"], worst_margin=aux["size_worst"],
+                    argmax_location=aux["size_worst_at"]),
+        CheckResult(name=f"aux_hessian[{label}]", count=aux["count"],
+                    failures=aux["hessian_failures"],
+                    worst_margin=aux["hessian_worst"],
+                    argmax_location=aux["hessian_worst_at"]),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # mollified evaluation
 # ---------------------------------------------------------------------------
@@ -748,15 +762,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
             name=f"min_deriv_ratio[{label}]", value=min_ratio))
 
     # auxiliary certificates on the slab grid
-    aux = run_aux_grid(ctx, cfg.aux_grid_n, cfg.fd_step)
-    checks.append(CheckResult(
-        name=f"aux_size[{label}]", count=aux["count"],
-        failures=aux["size_failures"], worst_margin=aux["size_worst"],
-        argmax_location=aux["size_worst_at"]))
-    checks.append(CheckResult(
-        name=f"aux_hessian[{label}]", count=aux["count"],
-        failures=aux["hessian_failures"], worst_margin=aux["hessian_worst"],
-        argmax_location=aux["hessian_worst_at"]))
+    checks.extend(aux_checks(ctx, cfg.aux_grid_n, cfg.fd_step, label))
 
     # mollified size bound (only when configured)
     if cfg.mollify_eps > 0 and cfg.mc_samples >= 1:

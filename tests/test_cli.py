@@ -1,7 +1,9 @@
 import json
 
+from gaussbell import cli
 from gaussbell.cli import run
 from gaussbell.report import VerificationReport
+from gaussbell.verify import SuiteConfig
 
 
 def _load(path):
@@ -23,6 +25,12 @@ def test_verify_bellman_happy_path(tmp_path):
     # lossless round trip
     rep = VerificationReport.loads(out.read_text())
     assert rep.to_dict() == report
+
+
+def test_verify_bellman_defaults_are_suite_config():
+    cfg = cli._resolve(cli.build_parser().parse_args(["verify-bellman"]))
+    assert cfg["q"] == "1,2,10,100"
+    assert cli._suite_config(cfg) == SuiteConfig()
 
 
 def test_verify_bellman_rejects_q_below_one(tmp_path):

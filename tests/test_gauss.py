@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussbell.gauss import (
+    QUAD_WEIGHTED,
     FlowGrid,
     HermiteFunction,
     ModelError,
@@ -13,6 +14,7 @@ from gaussbell.gauss import (
     QuadratureError,
     WeightSpec,
     default_flow_grid,
+    discrete_poisson_kernel,
     exterior_derivative,
     gauss_integral,
     gh_rule,
@@ -31,6 +33,7 @@ from gaussbell.gauss import (
     truncate_weight,
     weighted_inner,
 )
+from gaussbell.gauss import _poisson_batch
 
 H0 = HermiteFunction.basis(0)
 H1 = HermiteFunction.basis(1)
@@ -98,6 +101,25 @@ def test_semigroup_examples():
 def test_semigroup_rejects_negative_time():
     with pytest.raises(ModelError):
         semigroup_apply(H1, -0.1, "heat")
+
+
+@pytest.mark.parametrize("obj, mode", [
+    (OneForm.basis(1), "heat"),
+    (OneForm.basis(1), "poisson"),
+    (HermiteFunction.basis(1), "poisson_oneform"),
+])
+def test_semigroup_rejects_mismatched_type(obj, mode):
+    """A OneForm is a HermiteFunction; the modes still tell them apart."""
+    with pytest.raises(ModelError):
+        semigroup_apply(obj, 0.5, mode)
+
+
+def test_oneform_constructors_keep_type():
+    g = OneForm.basis(2, size=4)
+    assert type(g) is OneForm and g.coeffs == (0.0, 0.0, 1.0, 0.0)
+    assert type(g.scaled(3.0)) is OneForm
+    assert g.scaled(3.0).coeffs == (0.0, 0.0, 3.0, 0.0)
+    assert type(HermiteFunction.basis(2).scaled(3.0)) is HermiteFunction
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,6 +355,18 @@ def test_flow_inequalities_small_grid():
     assert m["d"] >= -1e-8
     assert m["product"] >= -1e-10
     assert m["b_gap"] <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["exp:a=1", "trunc:n=4:exp:a=1"])
+@pytest.mark.parametrize("t", [1e-2, 0.5, 4.0])
+def test_discrete_kernel_matches_poisson_flow(spec, t):
+    """sum mass * w(pts) over the shared kernel is the quadrature P_t w."""
+    w = WeightSpec.parse(spec)
+    xs = np.asarray(default_flow_grid().x_nodes)
+    pts, mass, _ = discrete_poisson_kernel(xs, t, 256, QUAD_WEIGHTED)
+    via_kernel = np.einsum("xjk,jk->x", w(pts), mass)
+    assert np.allclose(via_kernel, _poisson_batch(w, xs, t, 256),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_gauss_integral_exp():
