@@ -8,7 +8,7 @@ One binary, one subcommand per verification family:
     riesz-norm       weighted operator norm of the Riesz shift
     embedding        bilinear space-time estimate for one (f, g, weight)
     repr-check       Riesz representation identity
-    sweep            weight-family sweep (CSV)
+    sweep            weight-family sweep (CSV rows, or the JSON report)
 
 Configuration precedence: built-in defaults, then an optional JSON config
 file (--config), then explicit flags.  Unknown config keys are rejected.
@@ -130,71 +130,32 @@ DEFAULTS = {
 }
 
 
+_HELP = {
+    "verify-bellman": "sampled Bellman property suite",
+    "aux-bounds": "auxiliary-function certificates",
+    "a2": "Poisson flow characteristic",
+    "riesz-norm": "weighted Riesz operator norm",
+    "embedding": "bilinear space-time estimate",
+    "repr-check": "representation identity",
+    "sweep": "weight-family sweep (CSV rows or the JSON report)",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One --<key> flag per DEFAULTS key, typed like its default."""
     parser = argparse.ArgumentParser(
         prog="gaussbell",
         description="Bellman-function and Gauss-space weighted-estimate "
                     "verification")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    for cmd, defaults in DEFAULTS.items():
+        p = sub.add_parser(cmd, help=_HELP[cmd])
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
         p.add_argument("--config", help="JSON config file (defaults < file < flags)")
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--format", choices=("json", "csv"))
-
-    p = sub.add_parser("verify-bellman", help="sampled Bellman property suite")
-    p.add_argument("--q", help="comma list of Q values (each >= 1)")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--eta-dim", dest="eta_dim", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    p.add_argument("--pi-exclusion", dest="pi_exclusion", type=float)
-    p.add_argument("--directions", type=int)
-    p.add_argument("--mollify-eps", dest="mollify_eps", type=float)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int)
-    p.add_argument("--aux-grid-n", dest="aux_grid_n", type=int)
-    add_common(p)
-
-    p = sub.add_parser("aux-bounds", help="auxiliary-function certificates")
-    p.add_argument("--q")
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
-    add_common(p)
-
-    p = sub.add_parser("a2", help="Poisson flow characteristic")
-    p.add_argument("--weight")
-    p.add_argument("--gl-order", dest="gl_order", type=int)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--x-step", dest="x_step", type=float)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-nodes", dest="t_nodes", type=int)
-    add_common(p)
-
-    p = sub.add_parser("riesz-norm", help="weighted Riesz operator norm")
-    p.add_argument("--weight")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gl-order", dest="gl_order", type=int)
-    add_common(p)
-
-    p = sub.add_parser("embedding", help="bilinear space-time estimate")
-    p.add_argument("--f")
-    p.add_argument("--g")
-    p.add_argument("--weight")
-    p.add_argument("--gl-order", dest="gl_order", type=int)
-    add_common(p)
-
-    p = sub.add_parser("repr-check", help="representation identity")
-    p.add_argument("--n")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="weight-family sweep (CSV rows)")
-    p.add_argument("--family", choices=("exp", "const"))
-    p.add_argument("--params")
-    p.add_argument("--n", type=int)
-    p.add_argument("--gl-order", dest="gl_order", type=int)
-    add_common(p)
     return parser
 
 
@@ -254,11 +215,7 @@ def _report(cfg: dict, checks, measurements) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
-    try:
-        suite = _suite_config(cfg)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    report = run_suite(suite, tool_version=__version__)
+    report = run_suite(_suite_config(cfg), tool_version=__version__)
     report.config_echo = {k: v for k, v in cfg.items() if k != "out"}
     return report
 
@@ -266,11 +223,7 @@ def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
 def _cmd_aux_bounds(cfg: dict) -> VerificationReport:
     checks = []
     for q in _floats(str(cfg["q"])):
-        try:
-            ctx = QContext(q)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        checks.extend(aux_checks(ctx, int(cfg["grid_n"]), float(cfg["fd_step"]),
+        checks.extend(aux_checks(QContext(q), int(cfg["grid_n"]), float(cfg["fd_step"]),
                                  f"Q={q:g}"))
     return _report(cfg, checks, [])
 
@@ -303,10 +256,7 @@ def _cmd_a2(cfg: dict) -> VerificationReport:
 def _cmd_riesz_norm(cfg: dict) -> VerificationReport:
     w = _parse_weight(str(cfg["weight"]))
     grid = default_flow_grid(int(cfg["gl_order"]))
-    try:
-        res = weighted_riesz_norm(w, int(cfg["n"]), grid=grid)
-    except EstimateError as exc:
-        raise UsageError(str(exc)) from exc
+    res = weighted_riesz_norm(w, int(cfg["n"]), grid=grid)
     slack = 80.0 * res.q2 + RIESZ_NORM_TOL - res.weighted_norm
     checks = [CheckResult(name="riesz_norm_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -321,10 +271,7 @@ def _cmd_embedding(cfg: dict) -> VerificationReport:
     f = _hermite_sum(str(cfg["f"]))
     g = OneForm(_hermite_sum(str(cfg["g"])).coeffs)
     grid = default_flow_grid(int(cfg["gl_order"]))
-    try:
-        res = bilinear_lhs(f, g, w, grid)
-    except EstimateError as exc:
-        raise UsageError(str(exc)) from exc
+    res = bilinear_lhs(f, g, w, grid)
     slack = res.bound + EMBED_TOL - res.lhs
     checks = [CheckResult(name="embedding_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -351,11 +298,29 @@ def _cmd_repr_check(cfg: dict) -> VerificationReport:
     return _report(cfg, checks, measurements)
 
 
-def _run_sweep(cfg: dict):
+def _cmd_sweep(cfg: dict) -> VerificationReport:
     grid = default_flow_grid(int(cfg["gl_order"]))
     rows = sweep_report(str(cfg["family"]), _floats(str(cfg["params"])),
-                        int(cfg["n"]), grid, strict=False)
-    return rows, sweep_problems(rows)
+                        int(cfg["n"]), grid)
+    problems = sweep_problems(rows)
+    for p in problems:
+        print(f"sweep: {p}", file=sys.stderr)
+    checks = [CheckResult(name="sweep_properties", count=len(rows),
+                          failures=len(problems))]
+    measurements = [Measurement(f"q2_trunc[param={r['param']:g},n={r['trunc_n']}]",
+                                r["q2_trunc"], r) for r in rows]
+    return _report(cfg, checks, measurements)
+
+
+_HANDLERS = {
+    "verify-bellman": _cmd_verify_bellman,
+    "aux-bounds": _cmd_aux_bounds,
+    "a2": _cmd_a2,
+    "riesz-norm": _cmd_riesz_norm,
+    "embedding": _cmd_embedding,
+    "repr-check": _cmd_repr_check,
+    "sweep": _cmd_sweep,
+}
 
 
 def run(argv) -> int:
@@ -367,34 +332,15 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
-        cmd = args.subcommand
-        if cmd == "sweep":
-            rows, problems = _run_sweep(cfg)
-            if cfg["format"] == "csv":
-                _write_output(rows_to_csv(rows), cfg["out"])
-            else:
-                _write_output(json.dumps(
-                    {"rows": rows, "problems": problems}, indent=2),
-                    cfg["out"])
-            for p in problems:
-                print(f"sweep: {p}", file=sys.stderr)
-            return 1 if problems else 0
-        handler = {
-            "verify-bellman": _cmd_verify_bellman,
-            "aux-bounds": _cmd_aux_bounds,
-            "a2": _cmd_a2,
-            "riesz-norm": _cmd_riesz_norm,
-            "embedding": _cmd_embedding,
-            "repr-check": _cmd_repr_check,
-        }[cmd]
-        report = handler(cfg)
-    except UsageError as exc:
+        report = _HANDLERS[args.subcommand](cfg)
+    except (UsageError, DomainError, ModelError, EstimateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_output(report.dumps(), cfg["out"])
+    if cfg["format"] == "csv":
+        text = rows_to_csv([m.location for m in report.measurements])
+    else:
+        text = report.dumps()
+    _write_output(text, cfg["out"])
     return 0 if report.total_failures == 0 else 1
 
 

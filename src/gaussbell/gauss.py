@@ -220,6 +220,15 @@ def riesz_apply(f: HermiteFunction) -> OneForm:
     return OneForm(tuple(c[1:]))
 
 
+def generator_eigenvalues(obj) -> np.ndarray:
+    """Eigenvalue of -L per coefficient slot: n on functions, m+1 on one-form slot m.
+
+    Slot m of a one-form carries the eigenvalue -(m+1) of the Hodge
+    Laplacian; the Poisson rates are the square roots.
+    """
+    return np.arange(len(obj.coeffs)) + isinstance(obj, OneForm)
+
+
 def semigroup_apply(obj, t: float, mode: str):
     """Diagonal semigroup action on coefficients.
 
@@ -234,8 +243,7 @@ def semigroup_apply(obj, t: float, mode: str):
     if not isinstance(obj, HermiteFunction) or isinstance(obj, OneForm) != oneform:
         kind = "a OneForm" if oneform else "a HermiteFunction"
         raise ModelError(f"{mode} mode expects {kind}")
-    # slot m of a one-form carries the eigenvalue -(m+1) of the Hodge Laplacian
-    rate = np.arange(len(obj.coeffs)) + oneform
+    rate = generator_eigenvalues(obj)
     if mode != "heat":
         rate = np.sqrt(rate)
     return type(obj)(tuple(obj.array * np.exp(-rate * t)))
@@ -563,10 +571,6 @@ class FlowGrid:
             raise ModelError("x nodes must be symmetric about 0")
         object.__setattr__(self, "x_nodes", xs)
         object.__setattr__(self, "t_nodes", ts)
-
-    def as_dict(self) -> dict:
-        return {"x_nodes": list(self.x_nodes), "t_nodes": list(self.t_nodes),
-                "quad_order": self.quad_order}
 
 
 def default_flow_grid(quad_order: int = SUBORDINATION_ORDER) -> FlowGrid:

@@ -22,7 +22,7 @@ produce identical reports up to the timestamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +32,7 @@ from .bellman import (
     BellmanPoint,
     DomainError,
     QContext,
+    _split_columns,
     aux_raw,
     aux_size_bound,
     bq_batch,
@@ -52,6 +53,7 @@ HESSIAN_TOL = 1e-4
 AUX_SIZE_TOL = 1e-12         # rounding allowance on the exact size bounds
 AUX_HESSIAN_TOL = 1e-6       # absolute finite-difference slack
 MAX_HALVINGS = 8
+HESSIAN_CHUNK = 4096         # rows per FD Hessian batch; bounds the stencil memory
 
 # Central second differences of B carry rounding noise ~ eps*(1+|B|)/(4h^2).
 # Steps below this floor would drown the HESSIAN_TOL slack in float64 noise,
@@ -89,24 +91,19 @@ class SuiteConfig:
             raise DomainError("eta_dim must be >= 1")
         if self.mollify_eps < 0:
             raise DomainError("mollify_eps must be >= 0")
+        if self.directions_per_point < 0:
+            raise DomainError("directions_per_point must be >= 0")
+        if self.mc_samples < 0:
+            raise DomainError("mc_samples must be >= 0")
+        if self.aux_grid_n < 1:
+            raise DomainError("aux_grid_n must be >= 1")
         if not (0 <= int(self.seed) < 2**63):
             raise DomainError("seed must be a nonnegative 64-bit integer")
         for q in self.q_list:
             QContext(q, self.eta_dim)
 
     def as_dict(self) -> dict:
-        return {
-            "q_list": list(self.q_list),
-            "samples_per_q": self.samples_per_q,
-            "eta_dim": self.eta_dim,
-            "seed": self.seed,
-            "fd_step": self.fd_step,
-            "pi_exclusion": self.pi_exclusion,
-            "directions_per_point": self.directions_per_point,
-            "mollify_eps": self.mollify_eps,
-            "mc_samples": self.mc_samples,
-            "aux_grid_n": self.aux_grid_n,
-        }
+        return {**asdict(self), "q_list": list(self.q_list)}
 
 
 @dataclass
@@ -195,12 +192,7 @@ def sample_domain(ctx: QContext, count: int, seed) -> list:
 
 def in_domain_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Exact membership test for an (n, 5+eta_dim) coordinate array."""
-    z = x[:, 0]
-    h = x[:, 1]
-    zeta = x[:, 2]
-    eta2 = np.sum(x[:, 3:-2] ** 2, axis=1)
-    r = x[:, -2]
-    s = x[:, -1]
+    z, h, zeta, eta2, r, s = _split_columns(x)
     u = r * s
     return ((z >= 0) & (h >= 0) & (r > 0) & (s > 0)
             & (zeta**2 <= z * r) & (eta2 <= h * s)
@@ -353,12 +345,9 @@ def sign_forward_diff_batch(x: np.ndarray, q: float, h: float):
     Forward step h*(1+nu); evaluated only where (nu+step)^2 <= H s keeps
     the stepped point inside the radial domain.
     """
-    z = x[:, 0]
-    hh = x[:, 1]
-    za = np.abs(x[:, 2])
-    nu = np.sqrt(np.sum(x[:, 3:-2] ** 2, axis=1))
-    r = x[:, -2]
-    s = x[:, -1]
+    z, hh, zeta, eta2, r, s = _split_columns(x)
+    za = np.abs(zeta)
+    nu = np.sqrt(eta2)
     step = h * (1.0 + nu)
     fits = (nu + step) ** 2 <= hh * s
     fd = np.full(x.shape[0], np.nan)
@@ -407,63 +396,84 @@ def b43_reference(point: BellmanPoint, ctx: QContext, **kw) -> float:
 # point verification
 # ---------------------------------------------------------------------------
 
-def verify_point(point: BellmanPoint, ctx: QContext, cfg: SuiteConfig,
-                 directions: np.ndarray | None = None) -> PointVerdict:
-    """Size / sign / Hessian verdict for a single point.
+def _directions(ctx: QContext, cfg: SuiteConfig) -> np.ndarray:
+    """The suite's Hessian directions for ctx.q."""
+    rng = _rng(np.random.SeedSequence([cfg.seed, int(1e6 * ctx.q), 1]))
+    return hessian_directions(ctx.dim, cfg.directions_per_point, rng)
+
+
+def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
+                  directions: np.ndarray) -> dict:
+    """Size, sign and Hessian verdicts for every row of x.
 
     Margins are pre-tolerance slacks normalized by 1 + |B_Q| (size by
-    1 + Z + H); the _ok flags apply the documented tolerances.
+    1 + Z + H), +inf where the check was skipped; the *_fail arrays apply
+    the documented tolerances.  Rows near Pi get no Hessian; the others
+    are differenced HESSIAN_CHUNK rows at a time.
+    """
+    n = x.shape[0]
+    b = bq_batch(x, q)
+    zh = x[:, 0] + x[:, 1]
+    scale_b = 1.0 + np.abs(b)
+
+    fd, sign_fits = sign_forward_diff_batch(x, q, cfg.fd_step)
+    near_pi = pi_distance_batch(x, q) <= cfg.pi_exclusion
+    hess_margin = np.full(n, np.inf)
+    ratios = np.full(n, np.inf)
+    stencil_unfit = np.zeros(n, dtype=bool)
+    eligible = np.flatnonzero(~near_pi)
+    for start in range(0, eligible.size, HESSIAN_CHUNK):
+        idx = eligible[start:start + HESSIAN_CHUNK]
+        hess, _, fitted = fd_hessian_batch(x[idx], q, cfg.fd_step)
+        stencil_unfit[idx[~fitted]] = True
+        if fitted.any():
+            sub = idx[fitted]
+            margins, ratios_sub = hessian_margins(hess[fitted], directions, q,
+                                                  x.shape[1] - 5)
+            hess_margin[sub] = margins / scale_b[sub]
+            ratios[sub] = ratios_sub
+    return {
+        "b": b,
+        "size_margin": np.minimum(b, bellman.SIZE_CONSTANT * zh - b) / (1.0 + zh),
+        "size_fail": ((b < -SIZE_TOL * (1.0 + zh))
+                      | (b > bellman.SIZE_CONSTANT * zh * (1.0 + SIZE_TOL) + SIZE_TOL)),
+        "sign_fits": sign_fits,
+        "sign_margin": np.where(sign_fits, -fd / scale_b, np.inf),
+        "sign_fail": sign_fits & (fd > SIGN_TOL * scale_b),
+        "near_pi": near_pi,
+        "stencil_unfit": stencil_unfit,
+        "hessian_margin": hess_margin,
+        "hessian_fail": hess_margin < -HESSIAN_TOL,
+        "deriv_ratio": ratios,
+    }
+
+
+def verify_point(point: BellmanPoint, ctx: QContext, cfg: SuiteConfig,
+                 directions: np.ndarray | None = None) -> PointVerdict:
+    """Size / sign / Hessian verdict for a single point: one row of the suite.
+
+    Directions default to the ones the suite uses for ctx.q.  Margins are
+    pre-tolerance slacks normalized by 1 + |B_Q| (size by 1 + Z + H); the
+    _ok flags apply the documented tolerances.
     """
     point.validate(ctx)
-    x = point.as_array()[None, :]
-    q = ctx.q
     if directions is None:
-        directions = hessian_directions(
-            ctx.dim, cfg.directions_per_point,
-            _rng(np.random.SeedSequence([cfg.seed, 1])))
-
-    b = float(bq_batch(x, q)[0])
-    zh = point.z + point.h
-    scale_b = 1.0 + abs(b)
-    skip = []
-
-    size_margin = min(b, bellman.SIZE_CONSTANT * zh - b) / (1.0 + zh)
-    size_ok = (b >= -SIZE_TOL * (1.0 + zh)
-               and b <= bellman.SIZE_CONSTANT * zh * (1.0 + SIZE_TOL) + SIZE_TOL)
-
-    fd, fits = sign_forward_diff_batch(x, q, cfg.fd_step)
-    if fits[0]:
-        sign_margin = -fd[0] / scale_b
-        sign_ok = fd[0] <= SIGN_TOL * scale_b
-    else:
-        sign_margin = math.inf
-        sign_ok = None
-        skip.append("sign step does not fit in domain")
-
-    margins = [size_margin, sign_margin]
-    pid = float(pi_distance_batch(x, q)[0])
-    excluded = pid <= cfg.pi_exclusion
-    if excluded:
-        hessian_ok = None
-        skip.append("within Pi exclusion band")
-    else:
-        hess, _, fitted = fd_hessian_batch(x, q, cfg.fd_step)
-        if not fitted[0]:
-            hessian_ok = None
-            skip.append("hessian stencil does not fit in domain")
-        else:
-            hmarg, _ = hessian_margins(hess, directions, q, ctx.eta_dim)
-            hessian_ok = bool(hmarg[0] >= -HESSIAN_TOL * scale_b)
-            margins.append(hmarg[0] / scale_b)
-
-    finite = [m for m in margins if math.isfinite(m)]
+        directions = _directions(ctx, cfg)
+    v = {k: a[0] for k, a in
+         _row_verdicts(point.as_array()[None, :], ctx.q, cfg, directions).items()}
+    hessian_done = not (v["near_pi"] or v["stencil_unfit"])
+    skip = [reason for flag, reason in (
+        (not v["sign_fits"], "sign step does not fit in domain"),
+        (v["near_pi"], "within Pi exclusion band"),
+        (v["stencil_unfit"], "hessian stencil does not fit in domain")) if flag]
+    margins = [float(v[k]) for k in ("size_margin", "sign_margin", "hessian_margin")]
     return PointVerdict(
         point=point,
-        size_ok=bool(size_ok),
-        sign_ok=sign_ok,
-        hessian_ok=hessian_ok,
-        worst_margin=min(finite) if finite else math.inf,
-        excluded_near_pi=bool(excluded),
+        size_ok=not v["size_fail"],
+        sign_ok=not v["sign_fail"] if v["sign_fits"] else None,
+        hessian_ok=not v["hessian_fail"] if hessian_done else None,
+        worst_margin=min(margins),
+        excluded_near_pi=bool(v["near_pi"]),
         skip_reasons=tuple(skip),
     )
 
@@ -558,6 +568,8 @@ def aux_grid_nodes(q: float, n: int, margin: float = SAMPLING_DELTA,
 
     For Q = 1 the slab degenerates to rs = 1 and every rs-row sits on it.
     """
+    if n < 1:
+        raise DomainError("grid size n must be >= 1")
     r = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), n)
     lo, hi = 1.0 + margin, q - margin
     if hi <= lo:
@@ -628,7 +640,7 @@ def mollify_eval(point: BellmanPoint, ctx: QContext, eps: float, mc: int,
     base = np.array([point.z, point.h, abs(point.zeta), point.nu,
                      point.r, point.s])
     if eps == 0.0:
-        return float(radial_batch(*[np.array([v]) for v in base], ctx.q)[0])
+        return float(radial_batch(*base[:, None], ctx.q)[0])
 
     rng = _rng(seed)
     direction = rng.normal(size=(mc, 6))
@@ -637,18 +649,13 @@ def mollify_eval(point: BellmanPoint, ctx: QContext, eps: float, mc: int,
     u = direction * radius[:, None]
     pts = base[None, :] - eps * u
 
-    z, hh, za, nu, r, s = (pts[:, i] for i in range(6))
-    rs = r * s
-    inside = ((z >= 0) & (hh >= 0) & (r > 0) & (s > 0)
-              & (za**2 <= z * r) & (nu**2 <= hh * s)
-              & (rs >= 1.0) & (rs <= ctx.q))
-    if not inside.all():
+    if not in_domain_batch(pts, ctx.q).all():
         raise DomainError("eps-ball exits the radial domain; reduce eps or "
                           "move the point inward")
     with np.errstate(divide="ignore", over="ignore"):
         norm2 = np.sum(u * u, axis=1)
         psi = np.exp(-1.0 / np.maximum(1.0 - norm2, 1e-300))
-    vals = radial_batch(z, hh, za, nu, r, s, ctx.q)
+    vals = radial_batch(*pts.T, ctx.q)
     return float(np.dot(psi, vals) / psi.sum())
 
 
@@ -682,25 +689,24 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
     label = f"Q={q:g}"
     n = cfg.samples_per_q
     x = sample_columns(q, cfg.eta_dim, n, _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q)])))
-    dir_rng = _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q), 1]))
-    directions = hessian_directions(ctx.dim, cfg.directions_per_point, dir_rng)
-
-    b = bq_batch(x, q)
+    v = _row_verdicts(x, q, cfg, _directions(ctx, cfg))
     zh = x[:, 0] + x[:, 1]
-    scale_b = 1.0 + np.abs(b)
 
-    # size
-    size_margin = np.minimum(b, bellman.SIZE_CONSTANT * zh - b) / (1.0 + zh)
-    size_fail = ((b < -SIZE_TOL * (1.0 + zh))
-                 | (b > bellman.SIZE_CONSTANT * zh * (1.0 + SIZE_TOL) + SIZE_TOL))
-    i = int(np.argmin(size_margin))
-    checks.append(CheckResult(
-        name=f"size[{label}]", count=n, failures=int(size_fail.sum()),
-        worst_margin=float(size_margin[i]), argmax_location=_location(x[i])))
+    def check(kind, skipped):
+        margin = v[f"{kind}_margin"]
+        i = int(np.argmin(margin))
+        done = bool(np.isfinite(margin[i]))
+        checks.append(CheckResult(
+            name=f"{kind}[{label}]", count=n, failures=int(v[f"{kind}_fail"].sum()),
+            skipped=skipped,
+            worst_margin=float(margin[i]) if done else None,
+            argmax_location=_location(x[i]) if done else None))
+
+    check("size", 0)
+    ratio = v["b"] / zh
     measurements.append(Measurement(
-        name=f"observed_size_sup[{label}]",
-        value=float(np.max(b / zh)),
-        location=_location(x[int(np.argmax(b / zh))])))
+        name=f"observed_size_sup[{label}]", value=float(np.max(ratio)),
+        location=_location(x[int(np.argmax(ratio))])))
 
     # unweighted six-bound (recorded, not asserted)
     us = unweighted_batch(x, q)
@@ -710,53 +716,15 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
         name=f"unweighted_six_bound_min_margin[{label}]",
         value=float(um[iu]), location=_location(x[iu])))
 
-    # sign
-    fd, fits = sign_forward_diff_batch(x, q, cfg.fd_step)
-    sign_fail = np.zeros(n, dtype=bool)
-    sign_fail[fits] = fd[fits] > SIGN_TOL * scale_b[fits]
-    sign_margin = np.where(fits, -fd / scale_b, np.inf)
-    i = int(np.argmin(sign_margin))
-    checks.append(CheckResult(
-        name=f"sign[{label}]", count=n, failures=int(sign_fail.sum()),
-        skipped=int((~fits).sum()),
-        worst_margin=float(sign_margin[i]) if fits.any() else None,
-        argmax_location=_location(x[i]) if fits.any() else None))
-
-    # hessian, off the Pi band, chunked
-    pid = pi_distance_batch(x, q)
-    excluded = pid <= cfg.pi_exclusion
-    eligible = np.flatnonzero(~excluded)
-    hess_fail = 0
-    skip_near_pi = int(excluded.sum())
-    skip_stencil = 0
-    worst = np.inf
-    worst_at = None
-    min_ratio = np.inf
-    chunk = 4096
-    for start in range(0, eligible.size, chunk):
-        idx = eligible[start:start + chunk]
-        hess, _, fitted = fd_hessian_batch(x[idx], q, cfg.fd_step)
-        skip_stencil += int((~fitted).sum())
-        if fitted.any():
-            sub = idx[fitted]
-            margins, ratios = hessian_margins(hess[fitted], directions, q,
-                                              cfg.eta_dim)
-            norm_marg = margins / scale_b[sub]
-            hess_fail += int(np.sum(norm_marg < -HESSIAN_TOL))
-            j = int(np.argmin(norm_marg))
-            if norm_marg[j] < worst:
-                worst = float(norm_marg[j])
-                worst_at = _location(x[sub[j]])
-            min_ratio = min(min_ratio, float(ratios.min()))
-    checks.append(CheckResult(
-        name=f"hessian[{label}]", count=n, failures=hess_fail,
-        skipped=skip_near_pi + skip_stencil,
-        worst_margin=None if math.isinf(worst) else worst,
-        argmax_location=worst_at))
-    if skip_near_pi or skip_stencil:
+    check("sign", int((~v["sign_fits"]).sum()))
+    near_pi = int(v["near_pi"].sum())
+    unfit = int(v["stencil_unfit"].sum())
+    check("hessian", near_pi + unfit)
+    if near_pi or unfit:
         measurements.append(Measurement(
-            name=f"hessian_skip_reasons[{label}]", value=skip_near_pi + skip_stencil,
-            location={"near_pi": skip_near_pi, "stencil_unfit": skip_stencil}))
+            name=f"hessian_skip_reasons[{label}]", value=near_pi + unfit,
+            location={"near_pi": near_pi, "stencil_unfit": unfit}))
+    min_ratio = float(v["deriv_ratio"].min())
     if math.isfinite(min_ratio):
         measurements.append(Measurement(
             name=f"min_deriv_ratio[{label}]", value=min_ratio))

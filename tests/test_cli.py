@@ -1,7 +1,12 @@
+import argparse
+import inspect
 import json
+
+import pytest
 
 from gaussbell import cli
 from gaussbell.cli import run
+from gaussbell.estimates import rows_to_csv, sweep_report
 from gaussbell.report import VerificationReport
 from gaussbell.verify import SuiteConfig
 
@@ -138,3 +143,44 @@ def test_sweep_csv(tmp_path):
 
 def test_csv_rejected_outside_sweep():
     assert run(["a2", "--weight", "const:c=1", "--format", "csv"]) == 2
+
+
+def test_sweep_json_is_the_common_report(tmp_path):
+    out = tmp_path / "s.json"
+    assert run(["sweep", "--params", "0,1", "--n", "4", "--gl-order", "64",
+                "--format", "json", "--out", str(out)]) == 0
+    report = VerificationReport.loads(out.read_text())
+    check = next(c for c in report.checks if c.name == "sweep_properties")
+    assert check.count == 10 and check.failures == 0      # 2 params x 5 levels
+    # one measurement per CSV row; --format csv renders these locations
+    csv_rows = rows_to_csv([m.location for m in report.measurements]).splitlines()[1:]
+    assert len(report.measurements) == len(csv_rows) == check.count
+    assert report.measurements[0].name == "q2_trunc[param=0,n=2]"
+
+
+def test_parser_flags_come_from_defaults():
+    assert "strict" not in inspect.signature(sweep_report).parameters
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli.DEFAULTS)
+    for cmd, sub in subparsers.choices.items():
+        flags = {a.option_strings[0]: a.type for a in sub._actions
+                 if a.option_strings and a.dest not in ("help", "config", "out", "format")}
+        assert flags == {"--" + k.replace("_", "-"): type(v)
+                         for k, v in cli.DEFAULTS[cmd].items()}, cmd
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--params", "1,0"],
+    ["sweep", "--n", "1"],
+    ["sweep", "--family", "gauss"],
+    ["aux-bounds", "--grid-n", "0"],
+    ["verify-bellman", "--aux-grid-n", "0"],
+    ["verify-bellman", "--directions", "-1"],
+    ["verify-bellman", "--mc-samples", "-3", "--mollify-eps", "0.01"],
+], ids=" ".join)
+def test_bad_input_exits_2_and_writes_nothing(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert not out.exists()

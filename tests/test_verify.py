@@ -178,6 +178,26 @@ def test_verify_point_excludes_near_pi():
     assert v.hessian_ok is None
 
 
+@pytest.mark.parametrize("q", [2.0, 10.0])
+def test_verify_point_is_a_row_of_the_suite(q):
+    # verify_point with its default directions reproduces the suite's
+    # per-check totals and worst margin on the suite's own rows
+    cfg = SuiteConfig(q_list=(q,), samples_per_q=300, seed=4, aux_grid_n=2)
+    report = run_suite(cfg)
+    ctx = QContext(q)
+    x = sample_columns(q, 1, 300, _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q)])))
+    verdicts = [verify_point(BellmanPoint.from_array(row), ctx, cfg) for row in x]
+    by_kind = {c.name.split("[")[0]: c for c in report.checks}
+    for kind in ("size", "sign", "hessian"):
+        flags = [getattr(v, f"{kind}_ok") for v in verdicts]
+        assert all(f is None or type(f) is bool for f in flags)
+        assert flags.count(False) == by_kind[kind].failures, kind
+        assert flags.count(None) == by_kind[kind].skipped, kind
+    assert by_kind["hessian"].skipped < 300       # the Hessian rows are exercised
+    worst = [by_kind[k].worst_margin for k in ("size", "sign", "hessian")]
+    assert min(v.worst_margin for v in verdicts) == min(m for m in worst if m is not None)
+
+
 def test_verify_point_passes_generic_sample():
     cfg = SuiteConfig(q_list=(2.0,), samples_per_q=1, seed=0)
     for p in sample_domain(Q2, 25, seed=8):
