@@ -87,15 +87,11 @@ class BellmanPoint:
             raise DomainError(f"eta has length {len(self.eta)}, expected {ctx.eta_dim}")
         if self.z < 0 or self.h < 0:
             raise DomainError("Z and H must be nonnegative")
-        if not (self.r > 0 and self.s > 0):
-            raise DomainError("r and s must be strictly positive")
+        _check_slab(self.r, self.s, ctx.q)
         if self.zeta**2 > self.z * self.r:
             raise DomainError("zeta^2 <= Z*r violated")
         if self.eta2 > self.h * self.s:
             raise DomainError("<eta,eta> <= H*s violated")
-        u = self.r * self.s
-        if not (1.0 <= u <= ctx.q):
-            raise DomainError(f"r*s = {u} outside [1, {ctx.q}]")
 
     @property
     def eta2(self) -> float:
@@ -183,13 +179,18 @@ def aux_size_bound(kind: str, r, s, q: float):
     raise DomainError(f"unknown auxiliary kind {kind!r}")
 
 
-def eval_aux(kind: str, r: float, s: float, ctx: QContext) -> float:
-    """Evaluate M, N, K, Mtilde or Ntilde at (r, s) with 1 <= r*s <= Q."""
+def _check_slab(r: float, s: float, q: float) -> None:
+    """Exact slab membership: r, s > 0 and 1 <= r*s <= Q (tolerance zero)."""
     if not (r > 0 and s > 0):
         raise DomainError("r and s must be strictly positive")
     u = r * s
-    if not (1.0 <= u <= ctx.q):
-        raise DomainError(f"r*s = {u} outside [1, {ctx.q}]")
+    if not (1.0 <= u <= q):
+        raise DomainError(f"r*s = {u} outside [1, {q}]")
+
+
+def eval_aux(kind: str, r: float, s: float, ctx: QContext) -> float:
+    """Evaluate M, N, K, Mtilde or Ntilde at (r, s) with 1 <= r*s <= Q."""
+    _check_slab(r, s, ctx.q)
     return float(aux_raw(kind, r, s, ctx.q))
 
 
@@ -215,6 +216,11 @@ def _check_denominators(*denoms):
         if not np.all(d > 0):
             raise DomainError("auxiliary denominator not strictly positive; "
                               "point outside the evaluation region")
+
+
+def _critical_split(za, nu, r, s, k, q):
+    """Numerator Q r nu - K |zeta| and denominator Q s |zeta| - K nu of a_m."""
+    return q * r * nu - k * za, q * s * za - k * nu
 
 
 def components_batch(x: np.ndarray, q: float) -> np.ndarray:
@@ -248,17 +254,13 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     b42 = z - zz / r + h - eta2 / d42
 
     # B43: radial profile, zeta and nu taken nonnegative.
-    za = np.abs(zeta)
-    nu = np.sqrt(eta2)
-    num = q * r * nu - k * za
-    den = q * s * za - k * nu
+    num, den = _critical_split(np.abs(zeta), np.sqrt(eta2), r, s, k, q)
     finite = (num > 0) & (den > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         am = np.where(finite, num / np.where(finite, den, 1.0), 1.0)
         dz43 = r + am * k / q
         dn43 = s + k / (q * am)
-        _check_denominators(dz43[finite] if finite.any() else np.array([1.0]),
-                            dn43[finite] if finite.any() else np.array([1.0]))
+        _check_denominators(dz43[finite], dn43[finite])
         b43_fin = z - zz / dz43 + h - eta2 / dn43
     b43_zero = z + h - zz / r
     b43_inf = z + h - eta2 / s
@@ -306,12 +308,8 @@ def critical_a(point: BellmanPoint, ctx: QContext) -> CriticalA:
     at zeta = eta = 0 and is reported as degenerate.
     """
     point.validate(ctx)
-    q = ctx.q
-    k = float(aux_raw("K", point.r, point.s, q))
-    za = abs(point.zeta)
-    nu = point.nu
-    num = q * point.r * nu - k * za
-    den = q * point.s * za - k * nu
+    k = float(aux_raw("K", point.r, point.s, ctx.q))
+    num, den = _critical_split(abs(point.zeta), point.nu, point.r, point.s, k, ctx.q)
     if num > 0 and den > 0:
         return CriticalA.finite(num / den)
     if num > 0:

@@ -46,6 +46,7 @@ from .gauss import (
     HermiteFunction,
     ModelError,
     OneForm,
+    QuadratureError,
     SUBORDINATION_ORDER,
     WeightSpec,
     default_flow_grid,
@@ -63,18 +64,15 @@ class UsageError(Exception):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-def _floats(text: str) -> list:
+def _numbers(text: str, kind=float) -> list:
+    """A nonempty comma list of numbers of type kind."""
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [kind(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"cannot parse number list {text!r}") from exc
-
-
-def _ints(text: str) -> list:
-    try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse integer list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty number list {text!r}")
+    return values
 
 
 def _hermite_sum(text: str) -> HermiteFunction:
@@ -92,13 +90,6 @@ def _hermite_sum(text: str) -> HermiteFunction:
     return HermiteFunction(tuple(coeffs))
 
 
-def _parse_weight(text: str) -> WeightSpec:
-    try:
-        return WeightSpec.parse(text)
-    except (ModelError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # SuiteConfig fields whose verify-bellman flag has another name
 _SUITE_FLAGS = {"q_list": "q", "samples_per_q": "samples",
                 "directions_per_point": "directions"}
@@ -108,9 +99,8 @@ _SUITE_DEFAULTS["q"] = ",".join(f"{q:g}" for q in _SUITE_DEFAULTS["q"])
 
 def _suite_config(cfg: dict) -> SuiteConfig:
     """The SuiteConfig of a resolved verify-bellman configuration."""
-    fields = {k: type(v)(cfg[_SUITE_FLAGS.get(k, k)])
-              for k, v in SuiteConfig().as_dict().items() if k != "q_list"}
-    return SuiteConfig(q_list=tuple(_floats(str(cfg["q"]))), **fields)
+    fields = {k: cfg[_SUITE_FLAGS.get(k, k)] for k in SuiteConfig().as_dict() if k != "q_list"}
+    return SuiteConfig(q_list=tuple(_numbers(cfg["q"])), **fields)
 
 
 DEFAULTS = {
@@ -160,7 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags, unknown keys rejected."""
+    """defaults < config file < explicit flags, unknown keys rejected.
+
+    A config-file value must have its default's type (argparse types the
+    flags); an int is accepted for a float setting and converted.
+    """
     cmd = args.subcommand
     merged = dict(DEFAULTS[cmd])
     if args.config:
@@ -169,11 +163,19 @@ def _resolve(args: argparse.Namespace) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)} "
                              f"for {cmd}")
-        merged.update(file_cfg)
+        for key, val in file_cfg.items():
+            want = type(merged[key])
+            if want is float and type(val) is int and abs(val) <= sys.float_info.max:
+                val = float(val)
+            if type(val) is not want:
+                raise UsageError(f"config key {key!r} must be {want.__name__}, got {val!r}")
+            merged[key] = val
     for key in merged:
         val = getattr(args, key, None)
         if val is not None:
@@ -216,29 +218,28 @@ def _report(cfg: dict, checks, measurements) -> VerificationReport:
 
 def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
     report = run_suite(_suite_config(cfg), tool_version=__version__)
-    report.config_echo = {k: v for k, v in cfg.items() if k != "out"}
-    return report
+    return _report(cfg, report.checks, report.measurements)
 
 
 def _cmd_aux_bounds(cfg: dict) -> VerificationReport:
     checks = []
-    for q in _floats(str(cfg["q"])):
-        checks.extend(aux_checks(QContext(q), int(cfg["grid_n"]), float(cfg["fd_step"]),
-                                 f"Q={q:g}"))
+    for q in _numbers(cfg["q"]):
+        checks.extend(aux_checks(QContext(q), cfg["grid_n"], cfg["fd_step"], f"Q={q:g}"))
     return _report(cfg, checks, [])
 
 
 def _cmd_a2(cfg: dict) -> VerificationReport:
-    w = _parse_weight(str(cfg["weight"]))
+    w = WeightSpec.parse(cfg["weight"])
+    if not (math.isfinite(cfg["x_max"]) and cfg["t_nodes"] >= 1
+            and all(0 < cfg[k] < math.inf for k in ("x_step", "t_min", "t_max"))):
+        raise UsageError("a2 needs a finite x_max, finite x_step, t_min and t_max > 0, "
+                         "and t_nodes >= 1")
     try:
-        xs = np.arange(-float(cfg["x_max"]), float(cfg["x_max"]) + 1e-9,
-                       float(cfg["x_step"]))
-        ts = np.logspace(math.log10(float(cfg["t_min"])),
-                         math.log10(float(cfg["t_max"])), int(cfg["t_nodes"]))
-        grid = FlowGrid(tuple(xs), tuple(ts), int(cfg["gl_order"]))
-    except (ModelError, ValueError) as exc:
+        xs = np.arange(-cfg["x_max"], cfg["x_max"] + 1e-9, cfg["x_step"])
+    except ValueError as exc:       # more x nodes than an array can hold
         raise UsageError(str(exc)) from exc
-    res = q2_characteristic(w, grid)
+    ts = np.logspace(math.log10(cfg["t_min"]), math.log10(cfg["t_max"]), cfg["t_nodes"])
+    res = q2_characteristic(w, FlowGrid(tuple(xs), tuple(ts), cfg["gl_order"]))
     argt = "inf" if math.isinf(res.argmax_t) else res.argmax_t
     checks = [CheckResult(
         name="flow_product_ge_1", count=res.node_count,
@@ -254,9 +255,8 @@ def _cmd_a2(cfg: dict) -> VerificationReport:
 
 
 def _cmd_riesz_norm(cfg: dict) -> VerificationReport:
-    w = _parse_weight(str(cfg["weight"]))
-    grid = default_flow_grid(int(cfg["gl_order"]))
-    res = weighted_riesz_norm(w, int(cfg["n"]), grid=grid)
+    w = WeightSpec.parse(cfg["weight"])
+    res = weighted_riesz_norm(w, cfg["n"], grid=default_flow_grid(cfg["gl_order"]))
     slack = 80.0 * res.q2 + RIESZ_NORM_TOL - res.weighted_norm
     checks = [CheckResult(name="riesz_norm_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -267,11 +267,10 @@ def _cmd_riesz_norm(cfg: dict) -> VerificationReport:
 
 
 def _cmd_embedding(cfg: dict) -> VerificationReport:
-    w = _parse_weight(str(cfg["weight"]))
-    f = _hermite_sum(str(cfg["f"]))
-    g = OneForm(_hermite_sum(str(cfg["g"])).coeffs)
-    grid = default_flow_grid(int(cfg["gl_order"]))
-    res = bilinear_lhs(f, g, w, grid)
+    w = WeightSpec.parse(cfg["weight"])
+    f = _hermite_sum(cfg["f"])
+    g = OneForm(_hermite_sum(cfg["g"]).coeffs)
+    res = bilinear_lhs(f, g, w, default_flow_grid(cfg["gl_order"]))
     slack = res.bound + EMBED_TOL - res.lhs
     checks = [CheckResult(name="embedding_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -285,9 +284,7 @@ def _cmd_embedding(cfg: dict) -> VerificationReport:
 def _cmd_repr_check(cfg: dict) -> VerificationReport:
     checks = []
     measurements = []
-    for n in _ints(str(cfg["n"])):
-        if n < 1:
-            raise UsageError("repr-check n values must be >= 1")
+    for n in _numbers(cfg["n"], int):
         res = representation_check(n)
         checks.append(CheckResult(
             name=f"representation[n={n}]", count=1,
@@ -299,9 +296,8 @@ def _cmd_repr_check(cfg: dict) -> VerificationReport:
 
 
 def _cmd_sweep(cfg: dict) -> VerificationReport:
-    grid = default_flow_grid(int(cfg["gl_order"]))
-    rows = sweep_report(str(cfg["family"]), _floats(str(cfg["params"])),
-                        int(cfg["n"]), grid)
+    rows = sweep_report(cfg["family"], _numbers(cfg["params"]), cfg["n"],
+                        default_flow_grid(cfg["gl_order"]))
     problems = sweep_problems(rows)
     for p in problems:
         print(f"sweep: {p}", file=sys.stderr)
@@ -333,7 +329,7 @@ def run(argv) -> int:
     try:
         cfg = _resolve(args)
         report = _HANDLERS[args.subcommand](cfg)
-    except (UsageError, DomainError, ModelError, EstimateError) as exc:
+    except (UsageError, DomainError, ModelError, QuadratureError, EstimateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if cfg["format"] == "csv":

@@ -26,7 +26,6 @@ import scipy.linalg
 from .gauss import (
     FlowGrid,
     HermiteFunction,
-    ModelError,
     OneForm,
     WeightSpec,
     default_flow_grid,
@@ -84,11 +83,11 @@ class NormResult:
         return asdict(self)
 
 
-def _composite_gauss_legendre(t_max: float, nodes_per_panel: int = 16):
-    """Composite Gauss-Legendre rule on [0, t_max] with unit panels."""
+def _composite_gauss_legendre(t_max: float):
+    """Composite Gauss-Legendre rule on [0, t_max]: unit panels, 16 nodes each."""
     panels = max(1, int(math.ceil(t_max)))
     edges = np.linspace(0.0, t_max, panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+    xg, wg = np.polynomial.legendre.leggauss(16)
     ts = []
     ws = []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -129,7 +128,6 @@ def _space_time_gradient(coeffs: np.ndarray, eigenvalues: np.ndarray,
 
 def bilinear_lhs(f: HermiteFunction, g: OneForm, w: WeightSpec,
                  grid: FlowGrid | None = None,
-                 quad_order: int | None = None,
                  q2_value: float | None = None) -> EmbeddingResult:
     """Space-time bilinear integral and its weighted bound.
 
@@ -143,7 +141,7 @@ def bilinear_lhs(f: HermiteFunction, g: OneForm, w: WeightSpec,
         raise EstimateError("f must have zero constant coefficient "
                             "(range of the generator)")
     grid = default_flow_grid() if grid is None else grid
-    order = default_quad_order(w) if quad_order is None else quad_order
+    order = default_quad_order(w)
     xg, wg = gh_rule(order)
     q2 = q2_characteristic(w, grid).value if q2_value is None else q2_value
     f_norm = math.sqrt(max(weighted_inner(f, f, w, order), 0.0))
@@ -171,7 +169,6 @@ def bilinear_lhs(f: HermiteFunction, g: OneForm, w: WeightSpec,
 
 
 def weighted_riesz_norm(w: WeightSpec, n_dim: int,
-                        quad_order: int | None = None,
                         grid: FlowGrid | None = None,
                         q2_value: float | None = None) -> NormResult:
     """Largest weighted singular value of the Riesz shift on span{hhat_1..hhat_N}.
@@ -182,8 +179,7 @@ def weighted_riesz_norm(w: WeightSpec, n_dim: int,
     """
     if n_dim < 2:
         raise EstimateError("subspace dimension must be >= 2")
-    order = default_quad_order(w) if quad_order is None else quad_order
-    xg, wg = gh_rule(order)
+    xg, wg = gh_rule(default_quad_order(w))
     design = hermite_design(n_dim, xg)                      # (X, N+1)
     gram = design.T @ (design * (wg * w(xg))[:, None])      # (N+1, N+1)
     if not np.all(np.isfinite(gram)):
@@ -203,8 +199,7 @@ def weighted_riesz_norm(w: WeightSpec, n_dim: int,
     return NormResult(norm, q2_value, norm / (80.0 * q2_value), n_dim)
 
 
-def representation_check(n: int, t_max: float = 20.0,
-                         nodes_per_panel: int = 16) -> dict:
+def representation_check(n: int, t_max: float = 20.0) -> dict:
     """Pairing <R hhat_n, hhat_{n-1} dx> against the space-time flow integral.
 
     lhs is the direct inner product; rhs is 4 int <d P_t f, d/dt P_t g> t dt
@@ -217,7 +212,7 @@ def representation_check(n: int, t_max: float = 20.0,
     g = OneForm.basis(n - 1)
     lhs = weighted_inner(riesz_apply(f), g, WeightSpec.constant(1.0))
 
-    ts, tw = _composite_gauss_legendre(t_max, nodes_per_panel)
+    ts, tw = _composite_gauss_legendre(t_max)
     eig_g = np.sqrt(generator_eigenvalues(g))
 
     def integrand(t):

@@ -25,14 +25,12 @@ two-sided truncations clamping to [1/n, n].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-#: default Hermite truncation order of model functions
-DEFAULT_TRUNCATION = 32
 #: Gauss-Hermite order for unweighted integrals
 QUAD_UNWEIGHTED = 80
 #: Gauss-Hermite order for exponential / truncated weights
@@ -324,23 +322,25 @@ class WeightSpec:
     def parse(cls, text: str) -> "WeightSpec":
         """Parse the grammar const:c=<v> | exp:a=<v> | trunc:n=<k>:<inner>."""
         text = text.strip()
-        if text.startswith("const:c="):
-            return cls.constant(float(text[len("const:c="):]))
-        if text.startswith("exp:a="):
-            return cls.exp_linear(float(text[len("exp:a="):]))
-        if text.startswith("trunc:n="):
-            rest = text[len("trunc:n="):]
-            head, sep, inner = rest.partition(":")
-            if not sep:
-                raise ModelError(f"truncation needs an inner weight: {text!r}")
-            return cls.truncated(cls.parse(inner), int(head))
+        try:
+            if text.startswith("const:c="):
+                return cls.constant(float(text[len("const:c="):]))
+            if text.startswith("exp:a="):
+                return cls.exp_linear(float(text[len("exp:a="):]))
+            if text.startswith("trunc:n="):
+                head, sep, inner = text[len("trunc:n="):].partition(":")
+                if not sep:
+                    raise ModelError(f"truncation needs an inner weight: {text!r}")
+                return cls.truncated(cls.parse(inner), int(head))
+        except ModelError:
+            raise
+        except ValueError as exc:       # a malformed number
+            raise ModelError(f"cannot parse weight {text!r}") from exc
         raise ModelError(f"cannot parse weight {text!r}")
 
 
 def truncate_weight(w: WeightSpec, n: int) -> WeightSpec:
     """Two-sided truncation clamping w to [1/n, n]."""
-    if n < 1:
-        raise ModelError("truncation level must be >= 1")
     return WeightSpec.truncated(w, n)
 
 
@@ -366,10 +366,7 @@ def weighted_inner(u, v, w: WeightSpec, quad_order: int | None = None) -> float:
     """
     if isinstance(u, OneForm) != isinstance(v, OneForm):
         raise ModelError("weighted_inner needs two functions or two one-forms")
-    order = default_quad_order(w) if quad_order is None else quad_order
-    if order < 2:
-        raise ModelError("quad_order must be >= 2")
-    x, wt = gh_rule(order)
+    x, wt = gh_rule(default_quad_order(w) if quad_order is None else quad_order)
     vals = u.eval(x) * v.eval(x) * w(x)
     out = float(np.dot(wt, vals))
     if not math.isfinite(out):
@@ -394,12 +391,12 @@ def mehler_heat_apply(f, x, s, quad_order: int) -> np.ndarray:
     return f(pts) @ gw
 
 
-def heat_weight(w: WeightSpec, x, s, quad_order: int | None = None):
+def heat_weight(w: WeightSpec, x, s):
     """e^{sL} w at x, broadcasting x and s.
 
     Exponential-linear weights use the Gaussian closed form
     exp(a x e^{-s} + a^2 (1 - e^{-2s})/2); everything else goes through
-    the Mehler-average quadrature.
+    the Mehler-average quadrature at the weight's default order.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -410,12 +407,10 @@ def heat_weight(w: WeightSpec, x, s, quad_order: int | None = None):
     if w.kind == "exp":
         a = w.param
         return np.exp(a * (x * np.exp(-s)) + a * a * (1 - np.exp(-2 * s)) / 2)
-    order = default_quad_order(w) if quad_order is None else quad_order
-    return mehler_heat_apply(w, x, s, order)
+    return mehler_heat_apply(w, x, s, default_quad_order(w))
 
 
-def _poisson_batch(w: WeightSpec, xs: np.ndarray, t: float, gl_order: int,
-                   gh_order: int | None = None) -> np.ndarray:
+def _poisson_batch(w: WeightSpec, xs: np.ndarray, t: float, gl_order: int) -> np.ndarray:
     """P_t w = sum_j w_j e^{s_j L} w at the points xs (vectorized over xs)."""
     xs = np.asarray(xs, dtype=float)
     if w.kind == "const":
@@ -424,7 +419,7 @@ def _poisson_batch(w: WeightSpec, xs: np.ndarray, t: float, gl_order: int,
     s, wj = subordination_nodes(t, gl_order)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow -> inf/nan -> the caller rejects non-finite output
-        return heat_weight(w, xs[..., None], s, gh_order) @ wj
+        return heat_weight(w, xs[..., None], s) @ wj
 
 
 def poisson_weight(w: WeightSpec, x: float, t: float,
@@ -600,11 +595,8 @@ class Q2Result:
     below_one_count: int
 
     def as_dict(self) -> dict:
-        return {"q2_lower": self.value, "argmax_x": self.argmax_x,
-                "argmax_t": self.argmax_t, "limit": self.limit,
-                "min_product": self.min_product,
-                "node_count": self.node_count,
-                "below_one_count": self.below_one_count}
+        d = asdict(self)
+        return {"q2_lower": d.pop("value"), **d}
 
 
 def q2_characteristic(w: WeightSpec, grid: FlowGrid | None = None) -> Q2Result:

@@ -57,26 +57,16 @@ class VerificationReport:
         return sum(c.failures for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "config_echo": self.config_echo,
-            "checks": [asdict(c) for c in self.checks],
-            "measurements": [asdict(m) for m in self.measurements],
-            "timestamp": self.timestamp,
-        }
+        """The report as plain JSON data; the field order is the key order."""
+        return asdict(self)
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            tool_version=d["tool_version"],
-            config_echo=d["config_echo"],
-            checks=[CheckResult(**c) for c in d["checks"]],
-            measurements=[Measurement(**m) for m in d["measurements"]],
-            timestamp=d["timestamp"],
-        )
+        return cls(**{**d, "checks": [CheckResult(**c) for c in d["checks"]],
+                      "measurements": [Measurement(**m) for m in d["measurements"]]})
 
     @classmethod
     def loads(cls, text: str) -> "VerificationReport":

@@ -32,6 +32,7 @@ from .bellman import (
     BellmanPoint,
     DomainError,
     QContext,
+    _check_slab,
     _split_columns,
     aux_raw,
     aux_size_bound,
@@ -62,6 +63,7 @@ HESSIAN_CHUNK = 4096         # rows per FD Hessian batch; bounds the stencil mem
 STEP_NOISE_FLOOR = math.sqrt(np.finfo(float).eps / (0.4 * HESSIAN_TOL))
 
 _GOLDEN_BRACKET = (1e-8, 1e8)
+_GOLDEN_ITERS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -89,12 +91,14 @@ class SuiteConfig:
             raise DomainError("pi_exclusion must be > 0")
         if self.eta_dim < 1:
             raise DomainError("eta_dim must be >= 1")
-        if self.mollify_eps < 0:
+        if not (self.mollify_eps >= 0):
             raise DomainError("mollify_eps must be >= 0")
         if self.directions_per_point < 0:
             raise DomainError("directions_per_point must be >= 0")
         if self.mc_samples < 0:
             raise DomainError("mc_samples must be >= 0")
+        if self.mollify_eps > 0 and self.mc_samples < 1:
+            raise DomainError("mollify_eps > 0 needs mc_samples >= 1")
         if self.aux_grid_n < 1:
             raise DomainError("aux_grid_n must be >= 1")
         if not (0 <= int(self.seed) < 2**63):
@@ -250,12 +254,11 @@ def _assemble_hessians(fvals: np.ndarray, steps: np.ndarray, dim: int) -> np.nda
     return 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
 
 
-def fd_hessian_batch(x: np.ndarray, q: float, h: float,
-                     max_halvings: int = MAX_HALVINGS):
+def fd_hessian_batch(x: np.ndarray, q: float, h: float):
     """Central-difference Hessians of B_Q for every row of x.
 
     The step in coordinate i is h * max(1, |x_i|); if any stencil point
-    leaves D_Q the step is halved, up to `max_halvings` times, after which
+    leaves D_Q the step is halved, up to MAX_HALVINGS times, after which
     the point is marked unfitted.  Halvings stop early once the step falls
     under STEP_NOISE_FLOOR, where float64 cancellation noise would exceed
     the concavity tolerance.  Returns (hessians, used_h, fitted).
@@ -267,7 +270,7 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float,
     used_h = np.full(n, np.nan)
     fitted = np.zeros(n, dtype=bool)
     remaining = np.arange(n)
-    for level in range(max_halvings + 1):
+    for level in range(MAX_HALVINGS + 1):
         if remaining.size == 0:
             break
         hcur = h * 0.5**level
@@ -363,19 +366,18 @@ def sign_forward_diff_batch(x: np.ndarray, q: float, h: float):
 # B43 golden-section reference
 # ---------------------------------------------------------------------------
 
-def b43_reference_batch(x: np.ndarray, q: float,
-                        bracket=_GOLDEN_BRACKET, iters: int = 64) -> np.ndarray:
+def b43_reference_batch(x: np.ndarray, q: float) -> np.ndarray:
     """B43 by direct golden-section maximization of the inner objective.
 
     Independent of the critical-parameter closed form: maximizes
-    beta(a) = zeta^2/(r + aK/Q) + eta^2/(s + K/(Qa)) over log a on the
-    bracket and returns Z + H - max beta.  beta has a single stationary
-    point in a, so golden section on log a applies.
+    beta(a) = zeta^2/(r + aK/Q) + eta^2/(s + K/(Qa)) over log a on
+    _GOLDEN_BRACKET and returns Z + H - max beta.  beta has a single
+    stationary point in a, so golden section on log a applies.
     """
     x = np.asarray(x, dtype=float)
-    lo = np.full(x.shape[0], math.log(bracket[0]))
-    hi = np.full(x.shape[0], math.log(bracket[1]))
-    for _ in range(iters):
+    lo = np.full(x.shape[0], math.log(_GOLDEN_BRACKET[0]))
+    hi = np.full(x.shape[0], math.log(_GOLDEN_BRACKET[1]))
+    for _ in range(_GOLDEN_ITERS):
         c = hi - _INVPHI * (hi - lo)
         d = lo + _INVPHI * (hi - lo)
         fc = beta_values(x, q, np.exp(c))
@@ -387,9 +389,9 @@ def b43_reference_batch(x: np.ndarray, q: float,
     return x[:, 0] + x[:, 1] - beta_max
 
 
-def b43_reference(point: BellmanPoint, ctx: QContext, **kw) -> float:
+def b43_reference(point: BellmanPoint, ctx: QContext) -> float:
     point.validate(ctx)
-    return float(b43_reference_batch(point.as_array()[None, :], ctx.q, **kw)[0])
+    return float(b43_reference_batch(point.as_array()[None, :], ctx.q)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +450,16 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
     }
 
 
-def verify_point(point: BellmanPoint, ctx: QContext, cfg: SuiteConfig,
-                 directions: np.ndarray | None = None) -> PointVerdict:
+def verify_point(point: BellmanPoint, ctx: QContext, cfg: SuiteConfig) -> PointVerdict:
     """Size / sign / Hessian verdict for a single point: one row of the suite.
 
-    Directions default to the ones the suite uses for ctx.q.  Margins are
+    The Hessian directions are the ones the suite uses for ctx.q.  Margins are
     pre-tolerance slacks normalized by 1 + |B_Q| (size by 1 + Z + H); the
     _ok flags apply the documented tolerances.
     """
     point.validate(ctx)
-    if directions is None:
-        directions = _directions(ctx, cfg)
     v = {k: a[0] for k, a in
-         _row_verdicts(point.as_array()[None, :], ctx.q, cfg, directions).items()}
+         _row_verdicts(point.as_array()[None, :], ctx.q, cfg, _directions(ctx, cfg)).items()}
     hessian_done = not (v["near_pi"] or v["stencil_unfit"])
     skip = [reason for flag, reason in (
         (not v["sign_fits"], "sign step does not fit in domain"),
@@ -509,8 +508,10 @@ def aux_margins_batch(r: np.ndarray, s: np.ndarray, q: float, h: float):
     may step slightly off the slab 1 <= rs <= Q; the size bounds are only
     meaningful (and only checked) at the nodes themselves.  Returns
     {kind: (size_margin, hessian_margin)} with size margins normalized by
-    1 + bound and Hessian margins absolute.
+    1 + bound and Hessian margins absolute.  The step h must be finite and > 0.
     """
+    if not 0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be finite and > 0, got {h}")
     r = np.asarray(r, dtype=float)
     s = np.asarray(s, dtype=float)
     hr = h * np.maximum(1.0, r)
@@ -542,14 +543,8 @@ def verify_aux(r: float, s: float, ctx: QContext, h: float) -> dict:
     Returns {kind: {"value", "size_ok", "hessian_ok", "size_margin",
     "hessian_margin"}}.  The node must satisfy 1 <= r*s <= Q.
     """
-    if not (r > 0 and s > 0):
-        raise DomainError("r and s must be positive")
-    u = r * s
-    if not (1.0 <= u <= ctx.q):
-        raise DomainError(f"r*s = {u} outside [1, {ctx.q}]")
-    rr = np.array([r])
-    ss = np.array([s])
-    margins = aux_margins_batch(rr, ss, ctx.q, h)
+    _check_slab(r, s, ctx.q)
+    margins = aux_margins_batch(np.array([r]), np.array([s]), ctx.q, h)
     verdict = {}
     for kind, (sm, hm) in margins.items():
         verdict[kind] = {
@@ -562,16 +557,16 @@ def verify_aux(r: float, s: float, ctx: QContext, h: float) -> dict:
     return verdict
 
 
-def aux_grid_nodes(q: float, n: int, margin: float = SAMPLING_DELTA,
-                   r_range=(1e-2, 1e2)):
+def aux_grid_nodes(q: float, n: int):
     """(r, s) nodes covering the slab: r log-spaced, rs linear in the slab.
 
+    r spans [1e-2, 1e2] and rs spans [1 + SAMPLING_DELTA, Q - SAMPLING_DELTA].
     For Q = 1 the slab degenerates to rs = 1 and every rs-row sits on it.
     """
     if n < 1:
         raise DomainError("grid size n must be >= 1")
-    r = np.logspace(math.log10(r_range[0]), math.log10(r_range[1]), n)
-    lo, hi = 1.0 + margin, q - margin
+    r = np.logspace(-2.0, 2.0, n)
+    lo, hi = 1.0 + SAMPLING_DELTA, q - SAMPLING_DELTA
     if hi <= lo:
         u = np.full(n, (1.0 + q) / 2.0)
     else:
@@ -733,7 +728,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
     checks.extend(aux_checks(ctx, cfg.aux_grid_n, cfg.fd_step, label))
 
     # mollified size bound (only when configured)
-    if cfg.mollify_eps > 0 and cfg.mc_samples >= 1:
+    if cfg.mollify_eps > 0:
         probes = _mollify_probe_points(q, cfg.mollify_eps)
         fails = 0
         margin = math.inf

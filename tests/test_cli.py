@@ -179,8 +179,46 @@ def test_parser_flags_come_from_defaults():
     ["verify-bellman", "--aux-grid-n", "0"],
     ["verify-bellman", "--directions", "-1"],
     ["verify-bellman", "--mc-samples", "-3", "--mollify-eps", "0.01"],
+    ["verify-bellman", "--mollify-eps", "0.01"],
+    ["verify-bellman", "--q", ""],
+    ["aux-bounds", "--q", ""],
+    ["repr-check", "--n", ""],
+    ["sweep", "--params", ""],
+    ["a2", "--x-step", "0"],
+    ["a2", "--t-max", "nan"],
+    ["a2", "--t-nodes", "-1"],
+    ["a2", "--x-max", "nan"],
+    ["aux-bounds", "--fd-step", "0"],
+    ["aux-bounds", "--fd-step", "-1"],
+    ["aux-bounds", "--fd-step", "nan"],
 ], ids=" ".join)
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, argv):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, body", [
+    ("verify-bellman", {"samples": "abc"}),
+    ("verify-bellman", {"samples": True}),
+    ("riesz-norm", {"n": "abc"}),
+    ("verify-bellman", {"seed": 1.5}),
+    ("a2", {"x_max": 10**400}),             # an int no float can hold
+    ("verify-bellman", ["samples"]),
+], ids=str)
+def test_config_value_of_another_type_exits_2(tmp_path, cmd, body):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    assert run([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_config_int_for_float_setting_is_converted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x_max": 4}))
+    out = tmp_path / "q.json"
+    assert run(["a2", "--config", str(cfg), "--weight", "const:c=1", "--t-nodes", "3",
+                "--gl-order", "64", "--out", str(out)]) == 0
+    x_max = _load(out)["config_echo"]["x_max"]
+    assert x_max == 4.0 and type(x_max) is float

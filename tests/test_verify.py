@@ -235,6 +235,13 @@ def test_verify_aux_rejects_outside_slab():
         verify_aux(3.0, 3.0, Q2, 1e-4)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
+def test_verify_aux_rejects_bad_step(h):
+    # the aux stencil shared by the suite, aux-bounds and verify_aux checks h
+    with pytest.raises(DomainError):
+        verify_aux(1.0, 1.0, Q1, h)
+
+
 # ---------------------------------------------------------------------------
 # mollification
 # ---------------------------------------------------------------------------
@@ -301,6 +308,10 @@ def test_suite_config_validation():
         SuiteConfig(pi_exclusion=-1.0)
     with pytest.raises(DomainError):
         SuiteConfig(q_list=(0.5,))
+    with pytest.raises(DomainError):
+        SuiteConfig(mollify_eps=0.01)         # mollification needs mc_samples >= 1
+    with pytest.raises(DomainError):
+        SuiteConfig(mollify_eps=float("nan"), mc_samples=10)
 
 
 def test_run_suite_counts_and_determinism():
