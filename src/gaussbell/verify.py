@@ -87,8 +87,9 @@ class SuiteConfig:
             raise DomainError("samples_per_q must be >= 1")
         if not (self.fd_step > 0):
             raise DomainError("fd_step must be > 0")
-        if not (self.pi_exclusion > 0):
-            raise DomainError("pi_exclusion must be > 0")
+        # a relative band of width >= 1 around K/Q contains 0: it no longer localizes Pi
+        if not (0 < self.pi_exclusion < 1):
+            raise DomainError("pi_exclusion must be in (0, 1)")
         if self.eta_dim < 1:
             raise DomainError("eta_dim must be >= 1")
         if not (self.mollify_eps >= 0):
@@ -250,8 +251,7 @@ def _assemble_hessians(fvals: np.ndarray, steps: np.ndarray, dim: int) -> np.nda
             / (4 * steps[:, i] * steps[:, j])
         hess[:, i, j] = v
         hess[:, j, i] = v
-    # symmetric by construction; average against rounding anyway
-    return 0.5 * (hess + np.transpose(hess, (0, 2, 1)))
+    return hess
 
 
 def fd_hessian_batch(x: np.ndarray, q: float, h: float):

@@ -253,11 +253,12 @@ def test_criterion_11_truncation_ladder():
 
     Level 32 cannot reach the grid value.  The flow product of the
     exponential weight grows without bound in |x| (the weight is not in
-    the finite-characteristic class), so the grid value (about 265.3) is
-    set by the grid's x-range, while the clamp at level n leaves e^{ax}
-    unchanged only on |ax| <= ln n = 3.47 and q2(trunc(w, 32)) stays near
-    10.27.  Even the t-limits differ: e against 2.70881 from the 160-node
-    Gauss-Hermite rule (2.70903 exactly), a gap of 9.5e-3 (9.3e-3 exactly).
+    the finite-characteristic class), so the grid value (about 264.5604)
+    is set by the grid's x-range, while the clamp at level n leaves e^{ax}
+    unchanged only on |ax| <= ln n = 3.47: the levels 2, 4, 8, 16, 32 give
+    1.3557 / 2.2024 / 3.5942 / 6.0241 / 10.2649.  Even the t-limits differ:
+    e against 2.70881 from the 160-node Gauss-Hermite rule (2.70903
+    exactly), a gap of 9.5e-3 (9.3e-3 exactly).
 
     The closeness clause is therefore asserted at a level N derived from a
     and the grid.  Every Mehler point of the flow is V = x e^{-s} + sigma y

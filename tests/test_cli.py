@@ -180,6 +180,8 @@ def test_parser_flags_come_from_defaults():
     ["verify-bellman", "--directions", "-1"],
     ["verify-bellman", "--mc-samples", "-3", "--mollify-eps", "0.01"],
     ["verify-bellman", "--mollify-eps", "0.01"],
+    ["verify-bellman", "--pi-exclusion", "inf"],
+    ["verify-bellman", "--pi-exclusion", "1"],
     ["verify-bellman", "--q", ""],
     ["aux-bounds", "--q", ""],
     ["repr-check", "--n", ""],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from gaussbell.gauss import (
     QUAD_WEIGHTED,
@@ -22,7 +23,6 @@ from gaussbell.gauss import (
     heat_weight,
     hermite_design,
     hermite_eval,
-    laguerre_rule,
     flow_inequality_suite,
     poisson_step_quadrature,
     poisson_weight,
@@ -30,6 +30,7 @@ from gaussbell.gauss import (
     riesz_apply,
     semigroup_apply,
     subordination_nodes,
+    subordination_rule,
     truncate_weight,
     weighted_inner,
 )
@@ -251,12 +252,11 @@ def test_heat_step_reproduces_eigenvalues():
 def test_poisson_step_spot_check():
     # The inner Mehler step is polynomially exact, so the flow multiplies
     # hhat_n by an x-independent factor; project it out and compare with
-    # e^{-t sqrt(n)}.  Moderate subordination order covers t >= 1; the
-    # full criterion (t down to 0.25) runs in acceptance at high order.
+    # e^{-t sqrt(n)}.
     xs = np.array([-2.0, 0.7, 3.0])
     for n in (1, 4):
         basis = hermite_design(n, xs)[:, n]
-        for t in (1.0, 4.0):
+        for t in (1e-2, 0.25, 1.0, 4.0):
             approx = poisson_step_quadrature(n, xs, t, 512, 80)
             factor = float(approx @ basis) / float(basis @ basis)
             assert factor == pytest.approx(math.exp(-t * math.sqrt(n)),
@@ -277,11 +277,62 @@ def test_poisson_weight_overflow_raises():
 
 
 def test_subordination_weights_are_probability():
-    s, w = subordination_nodes(1.0, 512)
-    assert w.sum() == pytest.approx(1.0, abs=1e-10)
+    u, w = subordination_rule(512)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all(w > 0)
+    s, _ = subordination_nodes(1.0, 512)
+    assert s[0] == math.inf
     assert np.all(s > 0)
-    u, lw = laguerre_rule(512)
-    assert np.all(lw >= 0)
+
+
+def _poisson_exp_reference(a, x, t):
+    """P_t e^{ax}(x) as the subordination integral in z = ln u, by adaptive quad.
+
+    The heat step of e^{ax} has the closed form exp(a x e^{-s} + a^2 (1 -
+    e^{-2s}) / 2) with s = t^2 / (4u).  The z-integral is split where s
+    passes 1, which is the boundary layer; below z = -120 the step is the
+    Gaussian mean e^{a^2/2}, and Gamma(1/2) gives [0, e^{-120}] the mass
+    erf(e^{-60}).
+    """
+    def integrand(z):
+        u = math.exp(z)
+        s = t * t / (4 * u)
+        return math.sqrt(u / math.pi) * math.exp(
+            -u + a * x * math.exp(-s) - a * a * math.expm1(-2 * s) / 2)
+
+    zc = math.log(t * t / 4)
+    cuts = sorted({-120.0, 5.0, *(c for c in (zc - 6, zc - 2, zc, zc + 2)
+                                   if -120 < c < 5)})
+    body = sum(quad(integrand, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
+    return body + math.erf(math.exp(-60)) * math.exp(a * a / 2)
+
+
+def test_poisson_weight_matches_subordination_oracle():
+    worst = 0.0
+    for a in (2.0, -2.0, 1.0, -1.0, 0.5):
+        w = WeightSpec.exp_linear(a)
+        for t in np.logspace(-3, math.log10(32.0), 9):
+            for x in (0.0, 4.0, -4.0, 8.0, -8.0):
+                ref = _poisson_exp_reference(a, x, t)
+                worst = max(worst, abs(math.log(poisson_weight(w, x, t) / ref)))
+    assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    "exp:a=1",
+    # With the heat steps in closed form (normal CDF) this q2 is 2.19950609578238
+    # at 512, 1024 and 2048 nodes alike.  The 160-node Gauss-Hermite Mehler
+    # average of the clipped weight is off by up to 4.6e-3 at s = 1, and by a
+    # different amount at each node's s, so q2 moves 2.2023564 -> 2.2020139.
+    pytest.param("trunc:n=4:exp:a=1", marks=pytest.mark.xfail(
+        strict=True, reason="Gauss-Hermite error on clipped weights")),
+])
+def test_q2_converged_in_subordination_order(spec):
+    w = WeightSpec.parse(spec)
+    q512 = q2_characteristic(w, default_flow_grid(512)).value
+    q1024 = q2_characteristic(w, default_flow_grid(1024)).value
+    assert q1024 == pytest.approx(q512, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

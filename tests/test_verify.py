@@ -307,6 +307,10 @@ def test_suite_config_validation():
     with pytest.raises(DomainError):
         SuiteConfig(pi_exclusion=-1.0)
     with pytest.raises(DomainError):
+        SuiteConfig(pi_exclusion=float("inf"))  # would skip every Hessian row
+    with pytest.raises(DomainError):
+        SuiteConfig(pi_exclusion=1.0)           # the band around K/Q reaches 0
+    with pytest.raises(DomainError):
         SuiteConfig(q_list=(0.5,))
     with pytest.raises(DomainError):
         SuiteConfig(mollify_eps=0.01)         # mollification needs mc_samples >= 1
