@@ -47,9 +47,7 @@ from .gauss import (
     ModelError,
     OneForm,
     QuadratureError,
-    SUBORDINATION_ORDER,
     WeightSpec,
-    default_flow_grid,
     q2_characteristic,
 )
 from .report import CheckResult, Measurement, VerificationReport
@@ -107,16 +105,12 @@ DEFAULTS = {
     "verify-bellman": _SUITE_DEFAULTS,
     "aux-bounds": {"q": _SUITE_DEFAULTS["q"], "grid_n": 200,
                    "fd_step": _SUITE_DEFAULTS["fd_step"]},
-    "a2": {"weight": "exp:a=1", "gl_order": SUBORDINATION_ORDER,
-           "x_max": 8.0, "x_step": 0.25, "t_min": 1e-3, "t_max": 32.0,
-           "t_nodes": 40},
-    "riesz-norm": {"weight": "const:c=1", "n": 32,
-                   "gl_order": SUBORDINATION_ORDER},
-    "embedding": {"f": "h1", "g": "h0", "weight": "const:c=1",
-                  "gl_order": SUBORDINATION_ORDER},
+    "a2": {"weight": "exp:a=1", "x_max": 8.0, "x_step": 0.25, "t_min": 1e-3,
+           "t_max": 32.0, "t_nodes": 40},
+    "riesz-norm": {"weight": "const:c=1", "n": 32},
+    "embedding": {"f": "h1", "g": "h0", "weight": "const:c=1"},
     "repr-check": {"n": "1,2,4,9"},
-    "sweep": {"family": "exp", "params": "0,0.5,1,1.5,2", "n": 32,
-              "gl_order": SUBORDINATION_ORDER},
+    "sweep": {"family": "exp", "params": "0,0.5,1,1.5,2", "n": 32},
 }
 
 
@@ -239,7 +233,7 @@ def _cmd_a2(cfg: dict) -> VerificationReport:
     except ValueError as exc:       # more x nodes than an array can hold
         raise UsageError(str(exc)) from exc
     ts = np.logspace(math.log10(cfg["t_min"]), math.log10(cfg["t_max"]), cfg["t_nodes"])
-    res = q2_characteristic(w, FlowGrid(tuple(xs), tuple(ts), cfg["gl_order"]))
+    res = q2_characteristic(w, FlowGrid(tuple(xs), tuple(ts)))
     argt = "inf" if math.isinf(res.argmax_t) else res.argmax_t
     checks = [CheckResult(
         name="flow_product_ge_1", count=res.node_count,
@@ -256,7 +250,7 @@ def _cmd_a2(cfg: dict) -> VerificationReport:
 
 def _cmd_riesz_norm(cfg: dict) -> VerificationReport:
     w = WeightSpec.parse(cfg["weight"])
-    res = weighted_riesz_norm(w, cfg["n"], grid=default_flow_grid(cfg["gl_order"]))
+    res = weighted_riesz_norm(w, cfg["n"])
     slack = 80.0 * res.q2 + RIESZ_NORM_TOL - res.weighted_norm
     checks = [CheckResult(name="riesz_norm_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -270,7 +264,7 @@ def _cmd_embedding(cfg: dict) -> VerificationReport:
     w = WeightSpec.parse(cfg["weight"])
     f = _hermite_sum(cfg["f"])
     g = OneForm(_hermite_sum(cfg["g"]).coeffs)
-    res = bilinear_lhs(f, g, w, default_flow_grid(cfg["gl_order"]))
+    res = bilinear_lhs(f, g, w)
     slack = res.bound + EMBED_TOL - res.lhs
     checks = [CheckResult(name="embedding_bound", count=1,
                           failures=int(slack < 0), worst_margin=slack)]
@@ -296,8 +290,7 @@ def _cmd_repr_check(cfg: dict) -> VerificationReport:
 
 
 def _cmd_sweep(cfg: dict) -> VerificationReport:
-    rows = sweep_report(cfg["family"], _numbers(cfg["params"]), cfg["n"],
-                        default_flow_grid(cfg["gl_order"]))
+    rows = sweep_report(cfg["family"], _numbers(cfg["params"]), cfg["n"])
     problems = sweep_problems(rows)
     for p in problems:
         print(f"sweep: {p}", file=sys.stderr)

@@ -12,14 +12,15 @@ a weight is computed through the subordination identity
 
     P_t = pi^{-1/2} * int_0^inf u^{-1/2} e^{-u} exp((t^2/4u) L) du
 
-with the inner heat step given by the Mehler average
+whose heat steps, the Mehler averages
 
-    e^{sL} f(x) = int f(x e^{-s} + sqrt(1 - e^{-2s}) y) dgamma(y).
+    e^{sL} f(x) = int f(x e^{-s} + sqrt(1 - e^{-2s}) y) dgamma(y),
 
-The u-integral uses a trapezoid rule in ln u, the spatial integrals
-Gauss-Hermite nodes; all rules are cached.  Weights are
-symbolic: constants, exponential-linear e^{ax} with |a| <= 2, and
-two-sided truncations clamping to [1/n, n].
+are closed forms for every weight.  The u-integral uses a trapezoid rule
+in ln u; weighted inner products and the validation paths use
+Gauss-Hermite nodes; all rules are cached.  Weights are symbolic:
+constants, exponential-linear e^{ax} with |a| <= 2, and two-sided
+truncations clamping to [1/n, n].
 """
 
 from __future__ import annotations
@@ -333,15 +334,6 @@ def default_quad_order(w: WeightSpec) -> int:
     return QUAD_UNWEIGHTED if w.kind == "const" else QUAD_WEIGHTED
 
 
-def gauss_integral(w, quad_order: int) -> float:
-    """integral of w against the standard Gaussian measure."""
-    x, wt = gh_rule(quad_order)
-    val = float(np.dot(wt, w(x)))
-    if not math.isfinite(val):
-        raise QuadratureError("gaussian integral overflowed; raise the order")
-    return val
-
-
 def weighted_inner(u, v, w: WeightSpec, quad_order: int | None = None) -> float:
     """Gauss-Hermite approximation of int u v w dgamma.
 
@@ -369,34 +361,46 @@ def _mehler_points(x, s, gx):
         + np.sqrt(np.maximum(1 - np.exp(-2 * s), 0.0))[..., None] * gx
 
 
-def mehler_heat_apply(f, x, s, quad_order: int) -> np.ndarray:
-    """e^{sL} f at x by the Mehler-average quadrature, f an arbitrary callable."""
-    gx, gw = gh_rule(quad_order)
-    pts = _mehler_points(np.asarray(x, dtype=float), np.asarray(s, dtype=float), gx)
-    return f(pts) @ gw
-
-
 def heat_weight(w: WeightSpec, x, s):
-    """e^{sL} w at x, broadcasting x and s.
+    """e^{sL} w at x in closed form, broadcasting x and s.
 
-    Exponential-linear weights use the Gaussian closed form
-    exp(a x e^{-s} + a^2 (1 - e^{-2s})/2); everything else goes through
-    the Mehler-average quadrature at the weight's default order.
+    A chain of clamps is one clamp at its smallest level n; a clamped
+    constant stays constant.  For e^{ax} the step averages e^V over
+    V ~ N(m, sig^2), m = a x e^{-s}, sig^2 = a^2 (1 - e^{-2s}): unclamped
+    it is exp(m + sig^2/2); clamped, with k = ln n and E[e^V; V < c] =
+    exp(m + sig^2/2 + log Phi((c - m)/sig - sig)), E clip(e^V, 1/n, n) =
+    Phi((-k - m)/sig)/n + n Phi((m - k)/sig) + E[e^V; V < k] - E[e^V; V < -k].
+    Every term is at most n, so the value is finite for any x; at sig = 0
+    (s = 0 or a = 0) the step is w(x).
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ModelError("s must be >= 0")
+    n = math.inf
+    while w.kind == "trunc":
+        n = min(n, w.param)
+        w = w.inner
     if w.kind == "const":
-        return np.broadcast_to(np.full(1, w.param), np.broadcast(x, s).shape).copy()
-    if w.kind == "exp":
-        a = w.param
+        return np.full(np.broadcast(x, s).shape, min(max(w.param, 1.0 / n), n))
+    a = w.param
+    if n == math.inf:
         return np.exp(a * (x * np.exp(-s)) + a * a * (1 - np.exp(-2 * s)) / 2)
-    return mehler_heat_apply(w, x, s, default_quad_order(w))
+    from scipy.special import log_ndtr, ndtr   # here: keeps `import gaussbell` light
+
+    m = a * (x * np.exp(-s))
+    sig = abs(a) * np.sqrt(-np.expm1(-2 * s))
+    k = math.log(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = (-k - m) / sig, (k - m) / sig
+        mean = m + sig * sig / 2
+        val = (ndtr(lo) / n + n * ndtr(-hi) + np.exp(mean + log_ndtr(hi - sig))
+               - np.exp(mean + log_ndtr(lo - sig)))
+    return np.where(sig > 0, val, np.clip(np.exp(m), 1.0 / n, n))
 
 
 def _poisson_batch(w: WeightSpec, xs: np.ndarray, t: float, gl_order: int) -> np.ndarray:
-    """P_t w = sum_j w_j e^{s_j L} w at the points xs (vectorized over xs)."""
+    """P_t w = sum_j w_j e^{s_j L} w at the points xs, each heat step in closed form."""
     xs = np.asarray(xs, dtype=float)
     if w.kind == "const":
         # exact: the subordination weights sum to 1 only up to rounding
@@ -411,9 +415,8 @@ def poisson_weight(w: WeightSpec, x: float, t: float,
                    quad_order: int = SUBORDINATION_ORDER) -> float:
     """P_t w (x): subordinated Poisson flow of a weight at one point.
 
-    quad_order is the node count of the u-rule (512 is converged to
-    rounding for exp weights); the inner Mehler averages use the weight's
-    default Gauss-Hermite order.
+    quad_order is the node count of the u-rule; the heat steps are closed
+    forms, so 512 nodes are converged to rounding for every weight.
     """
     if not t > 0:
         raise ModelError("t must be > 0")
@@ -429,8 +432,9 @@ def heat_step_quadrature(n: int, x, s, quad_order: int) -> np.ndarray:
     The integrand is a degree-n polynomial, so Gauss-Hermite with
     quad_order > n/2 reproduces e^{-ns} hhat_n(x) to rounding.
     """
-    return mehler_heat_apply(lambda p: hermite_eval(n, p, orthonormal=True), x, s,
-                             quad_order)
+    gx, gw = gh_rule(quad_order)
+    pts = _mehler_points(np.asarray(x, dtype=float), np.asarray(s, dtype=float), gx)
+    return hermite_eval(n, pts, orthonormal=True) @ gw
 
 
 def poisson_step_quadrature(n: int, x, t: float, gl_order: int,
@@ -610,8 +614,7 @@ def q2_characteristic(w: WeightSpec, grid: FlowGrid | None = None) -> Q2Result:
             arg = (float(xs[i]), float(t))
         min_product = min(min_product, float(prod.min()))
         below_one += int(np.sum(prod < 1.0 - 1e-10))
-    order = default_quad_order(w)
-    limit = gauss_integral(w, order) * gauss_integral(winv, order)
+    limit = float(heat_weight(w, 0.0, math.inf) * heat_weight(winv, 0.0, math.inf))
     if limit > best:
         best = limit
         arg = (None, math.inf)

@@ -256,9 +256,8 @@ def test_criterion_11_truncation_ladder():
     the finite-characteristic class), so the grid value (about 264.5604)
     is set by the grid's x-range, while the clamp at level n leaves e^{ax}
     unchanged only on |ax| <= ln n = 3.47: the levels 2, 4, 8, 16, 32 give
-    1.3557 / 2.2024 / 3.5942 / 6.0241 / 10.2649.  Even the t-limits differ:
-    e against 2.70881 from the 160-node Gauss-Hermite rule (2.70903
-    exactly), a gap of 9.5e-3 (9.3e-3 exactly).
+    1.3566 / 2.1995 / 3.5927 / 6.0248 / 10.2669.  Even the t-limits differ:
+    e against 2.7090257 at level 32, a gap of 9.3e-3.
 
     The closeness clause is therefore asserted at a level N derived from a
     and the grid.  Every Mehler point of the flow is V = x e^{-s} + sigma y
@@ -272,9 +271,6 @@ def test_criterion_11_truncation_ladder():
     1e-3.  For a = 1 and M = 8, N is the first power of two above e^14,
     i.e. 2^21.  Monotonicity up to N then also places every rung at most
     1e-3 above q2(w): the ladder approaches the characteristic from below.
-    The truncated flow evaluates the heat averages by Gauss-Hermite
-    quadrature and the exponential one by its closed form, so the clause
-    also checks the two paths against each other.
     """
     grid = default_flow_grid()
     w = WeightSpec.exp_linear(1.0)

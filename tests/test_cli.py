@@ -77,12 +77,16 @@ def test_config_file_unknown_keys_rejected(tmp_path):
     cfg.write_text(json.dumps({"sample": 50}))
     code = run(["verify-bellman", "--q", "2", "--config", str(cfg)])
     assert code == 2
+    # the subordination node count is no setting: every flow converges at 512
+    cfg.write_text(json.dumps({"gl_order": 512}))
+    out = tmp_path / "q.json"
+    assert run(["a2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_a2_reports_q2_lower(tmp_path):
     out = tmp_path / "q.json"
-    code = run(["a2", "--weight", "exp:a=1", "--gl-order", "256",
-                "--out", str(out)])
+    code = run(["a2", "--weight", "exp:a=1", "--out", str(out)])
     assert code == 0
     report = _load(out)
     q2 = next(m for m in report["measurements"] if m["name"] == "q2_lower")
@@ -99,8 +103,7 @@ def test_a2_rejects_bad_weight():
 
 def test_riesz_norm_subcommand(tmp_path):
     out = tmp_path / "n.json"
-    code = run(["riesz-norm", "--weight", "const:c=1", "--n", "16",
-                "--gl-order", "128", "--out", str(out)])
+    code = run(["riesz-norm", "--weight", "const:c=1", "--n", "16", "--out", str(out)])
     assert code == 0
     report = _load(out)
     norm = next(m for m in report["measurements"]
@@ -111,8 +114,7 @@ def test_riesz_norm_subcommand(tmp_path):
 def test_embedding_subcommand(tmp_path):
     out = tmp_path / "e.json"
     code = run(["embedding", "--f", "h1+h3", "--g", "h2",
-                "--weight", "exp:a=0.5", "--gl-order", "128",
-                "--out", str(out)])
+                "--weight", "exp:a=0.5", "--out", str(out)])
     assert code == 0
     report = _load(out)
     assert next(c for c in report["checks"]
@@ -133,8 +135,7 @@ def test_repr_check_subcommand(tmp_path):
 
 def test_sweep_csv(tmp_path):
     out = tmp_path / "s.csv"
-    code = run(["sweep", "--family", "exp", "--params", "0,1", "--n", "8",
-                "--gl-order", "128", "--out", str(out)])
+    code = run(["sweep", "--family", "exp", "--params", "0,1", "--n", "8", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "param,q2_lower,weighted_norm,bound_ratio,trunc_n,q2_trunc"
@@ -147,8 +148,8 @@ def test_csv_rejected_outside_sweep():
 
 def test_sweep_json_is_the_common_report(tmp_path):
     out = tmp_path / "s.json"
-    assert run(["sweep", "--params", "0,1", "--n", "4", "--gl-order", "64",
-                "--format", "json", "--out", str(out)]) == 0
+    assert run(["sweep", "--params", "0,1", "--n", "4", "--format", "json",
+                "--out", str(out)]) == 0
     report = VerificationReport.loads(out.read_text())
     check = next(c for c in report.checks if c.name == "sweep_properties")
     assert check.count == 10 and check.failures == 0      # 2 params x 5 levels
@@ -190,6 +191,7 @@ def test_parser_flags_come_from_defaults():
     ["a2", "--t-max", "nan"],
     ["a2", "--t-nodes", "-1"],
     ["a2", "--x-max", "nan"],
+    ["a2", "--gl-order", "512"],
     ["aux-bounds", "--fd-step", "0"],
     ["aux-bounds", "--fd-step", "-1"],
     ["aux-bounds", "--fd-step", "nan"],
@@ -221,6 +223,6 @@ def test_config_int_for_float_setting_is_converted(tmp_path):
     cfg.write_text(json.dumps({"x_max": 4}))
     out = tmp_path / "q.json"
     assert run(["a2", "--config", str(cfg), "--weight", "const:c=1", "--t-nodes", "3",
-                "--gl-order", "64", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     x_max = _load(out)["config_echo"]["x_max"]
     assert x_max == 4.0 and type(x_max) is float

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+import gaussbell
 from gaussbell.gauss import (
     QUAD_WEIGHTED,
     FlowGrid,
@@ -17,7 +22,6 @@ from gaussbell.gauss import (
     default_flow_grid,
     discrete_poisson_kernel,
     exterior_derivative,
-    gauss_integral,
     gh_rule,
     heat_step_quadrature,
     heat_weight,
@@ -240,6 +244,68 @@ def test_heat_closed_form_against_quadrature():
                 assert closed == pytest.approx(quad, rel=1e-12)
 
 
+def _clipped_heat_reference(a, n, x, s):
+    """E clip(e^{aX}, 1/n, n) for X ~ N(x e^{-s}, 1 - e^{-2s}), by adaptive quad.
+
+    The integral runs over the standard normal y on [-40, 40], split at
+    the two kinks where a X = +-ln n.
+    """
+    mu = x * math.exp(-s)
+    sd = math.sqrt(-math.expm1(-2 * s))
+
+    def integrand(y):
+        return min(max(math.exp(a * (mu + sd * y)), 1 / n), n) * math.exp(-y * y / 2)
+
+    kinks = ((c / a - mu) / sd for c in (math.log(n), -math.log(n)))
+    cuts = sorted({-40.0, 40.0, *(c for c in kinks if -40 < c < 40)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        body = sum(quad(integrand, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(cuts, cuts[1:]))
+    return body / math.sqrt(2 * math.pi)
+
+
+def test_heat_weight_clipped_matches_quad_oracle():
+    worst = 0.0
+    for a in (2.0, -2.0, 1.0, -1.0, 0.5):
+        for n in (2, 4, 32, 2**21):
+            w = truncate_weight(WeightSpec.exp_linear(a), n)
+            for x in (0.0, 4.0, -4.0, 8.0, -8.0, 1.3):
+                assert float(heat_weight(w, x, 0.0)) == float(w(x))
+                for s in (*np.logspace(-8, math.log10(30.0), 12), math.inf):
+                    ref = _clipped_heat_reference(a, n, x, s)
+                    worst = max(worst, abs(math.log(float(heat_weight(w, x, s)) / ref)))
+    assert worst <= 1e-12
+    # a chain of clamps is the clamp at its smallest level
+    xs, ss = np.linspace(-6, 6, 13), np.array([0.0, 0.1, 1.0, math.inf])[:, None]
+    chain = WeightSpec.parse("trunc:n=3:trunc:n=8:exp:a=1")
+    assert np.array_equal(heat_weight(chain, xs, ss),
+                          heat_weight(WeightSpec.parse("trunc:n=3:exp:a=1"), xs, ss))
+    assert float(heat_weight(WeightSpec.parse("trunc:n=4:const:c=9"), 0.5, 0.3)) == 4.0
+    # every term is at most n, so far-out points stay finite and inside the clamp band
+    w4 = WeightSpec.parse("trunc:n=4:exp:a=2")
+    for x in (500.0, -500.0, 1000.0):
+        for t in (1e-3, 1.0, 30.0):
+            assert 0.25 <= poisson_weight(w4, x, t) <= 4.0
+
+
+def test_heat_weight_of_a_constant_at_scalar_arguments():
+    out = heat_weight(WeightSpec.constant(2.0), 0.5, 0.3)
+    assert out.shape == () and float(out) == 2.0
+    assert heat_weight(WeightSpec.constant(2.0), np.zeros(3), 0.3).shape == (3,)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """scipy.special loads on the first clipped heat step, not on import."""
+    src = os.path.dirname(os.path.dirname(gaussbell.__file__))
+    code = ("import sys, gaussbell, gaussbell.cli; "
+            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_heat_step_reproduces_eigenvalues():
     xs = np.array([-3.0, -0.4, 0.0, 1.1, 2.6])
     for n in range(13):
@@ -319,15 +385,7 @@ def test_poisson_weight_matches_subordination_oracle():
     assert worst <= 1e-10
 
 
-@pytest.mark.parametrize("spec", [
-    "exp:a=1",
-    # With the heat steps in closed form (normal CDF) this q2 is 2.19950609578238
-    # at 512, 1024 and 2048 nodes alike.  The 160-node Gauss-Hermite Mehler
-    # average of the clipped weight is off by up to 4.6e-3 at s = 1, and by a
-    # different amount at each node's s, so q2 moves 2.2023564 -> 2.2020139.
-    pytest.param("trunc:n=4:exp:a=1", marks=pytest.mark.xfail(
-        strict=True, reason="Gauss-Hermite error on clipped weights")),
-])
+@pytest.mark.parametrize("spec", ["exp:a=1", "trunc:n=4:exp:a=1"])
 def test_q2_converged_in_subordination_order(spec):
     w = WeightSpec.parse(spec)
     q512 = q2_characteristic(w, default_flow_grid(512)).value
@@ -411,15 +469,30 @@ def test_flow_inequalities_small_grid():
 @pytest.mark.parametrize("spec", ["exp:a=1", "trunc:n=4:exp:a=1"])
 @pytest.mark.parametrize("t", [1e-2, 0.5, 4.0])
 def test_discrete_kernel_matches_poisson_flow(spec, t):
-    """sum mass * w(pts) over the shared kernel is the quadrature P_t w."""
+    """sum mass * w(pts) over the shared kernel is the subordinated Mehler sum.
+
+    For e^{ax} that sum is the flow P_t w with closed-form heat steps.  A
+    clipped weight's heat steps are closed forms too, which Gauss-Hermite
+    does not reproduce at its kinks, so its kernel sum is compared with
+    the subordinated Gauss-Hermite Mehler sum built here.
+    """
     w = WeightSpec.parse(spec)
     xs = np.asarray(default_flow_grid().x_nodes)
     pts, mass, _ = discrete_poisson_kernel(xs, t, 256, QUAD_WEIGHTED)
     via_kernel = np.einsum("xjk,jk->x", w(pts), mass)
-    assert np.allclose(via_kernel, _poisson_batch(w, xs, t, 256),
-                       rtol=1e-12, atol=0.0)
+    if w.kind == "exp":
+        flow = _poisson_batch(w, xs, t, 256)
+    else:
+        s, wj = subordination_nodes(t, 256)
+        gx, gw = gh_rule(QUAD_WEIGHTED)
+        mehler = (xs[:, None, None] * np.exp(-s)[:, None]
+                  + np.sqrt(1 - np.exp(-2 * s))[:, None] * gx)
+        flow = (w(mehler) @ gw) @ wj
+    assert np.allclose(via_kernel, flow, rtol=1e-12, atol=0.0)
 
 
 def test_gauss_integral_exp():
-    assert gauss_integral(WEXP, 160) == pytest.approx(math.exp(0.5),
-                                                      rel=1e-13)
+    """The closed-form t-limit int w dgamma against a Gauss-Hermite sum."""
+    gx, gw = gh_rule(160)
+    assert float(heat_weight(WEXP, 0.0, math.inf)) == pytest.approx(
+        float(gw @ WEXP(gx)), rel=1e-13)
