@@ -7,16 +7,8 @@ from .bellman import (
     AUX_KINDS,
     BellmanPoint,
     COMPONENT_IDS,
-    CriticalA,
-    DegeneratePointError,
     DomainError,
     QContext,
-    critical_a,
-    eval_aux,
-    eval_bq,
-    eval_component,
-    pi_distance,
-    unweighted_sum,
 )
 from .estimates import (
     EmbeddingResult,
@@ -47,15 +39,9 @@ from .gauss import (
 )
 from .report import CheckResult, Measurement, VerificationReport
 from .verify import (
-    PointVerdict,
     SuiteConfig,
-    b43_reference,
-    fd_hessian,
     mollify_eval,
     run_suite,
-    sample_domain,
-    verify_aux,
-    verify_point,
 )
 
 __all__ = [
@@ -63,8 +49,6 @@ __all__ = [
     "BellmanPoint",
     "COMPONENT_IDS",
     "CheckResult",
-    "CriticalA",
-    "DegeneratePointError",
     "DomainError",
     "EmbeddingResult",
     "EstimateError",
@@ -74,37 +58,25 @@ __all__ = [
     "ModelError",
     "NormResult",
     "OneForm",
-    "PointVerdict",
     "Q2Result",
     "QContext",
     "QuadratureError",
     "SuiteConfig",
     "VerificationReport",
     "WeightSpec",
-    "b43_reference",
     "bilinear_lhs",
-    "critical_a",
     "default_flow_grid",
-    "eval_aux",
-    "eval_bq",
-    "eval_component",
     "exterior_derivative",
-    "fd_hessian",
     "hermite_eval",
     "mollify_eval",
-    "pi_distance",
     "poisson_weight",
     "q2_characteristic",
     "representation_check",
     "riesz_apply",
     "run_suite",
-    "sample_domain",
     "semigroup_apply",
     "sweep_report",
     "truncate_weight",
-    "unweighted_sum",
-    "verify_aux",
-    "verify_point",
     "weighted_inner",
     "weighted_riesz_norm",
 ]

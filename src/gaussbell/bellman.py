@@ -44,10 +44,6 @@ class DomainError(ValueError):
     """Input lies outside the Bellman domain (or violates a precondition)."""
 
 
-class DegeneratePointError(ValueError):
-    """Critical-parameter split is 0/0; caller must resample."""
-
-
 @dataclass(frozen=True)
 class QContext:
     """Characteristic bound Q >= 1 plus the dimension of the eta slot."""
@@ -87,7 +83,10 @@ class BellmanPoint:
             raise DomainError(f"eta has length {len(self.eta)}, expected {ctx.eta_dim}")
         if self.z < 0 or self.h < 0:
             raise DomainError("Z and H must be nonnegative")
-        _check_slab(self.r, self.s, ctx.q)
+        if not (self.r > 0 and self.s > 0):
+            raise DomainError("r and s must be strictly positive")
+        if not (1.0 <= self.r * self.s <= ctx.q):
+            raise DomainError(f"r*s = {self.r * self.s} outside [1, {ctx.q}]")
         if self.zeta**2 > self.z * self.r:
             raise DomainError("zeta^2 <= Z*r violated")
         if self.eta2 > self.h * self.s:
@@ -109,32 +108,6 @@ class BellmanPoint:
     def from_array(cls, x: np.ndarray) -> "BellmanPoint":
         x = np.asarray(x, dtype=float)
         return cls(x[0], x[1], x[2], tuple(x[3:-2]), x[-2], x[-1])
-
-
-@dataclass(frozen=True)
-class CriticalA:
-    """Location of the extremum in the B43 one-parameter family.
-
-    case is one of "zero", "finite", "infinite"; value is set only for
-    the finite case and is then strictly positive.
-    """
-
-    case: str
-    value: float | None = None
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def infinite(cls):
-        return cls("infinite")
-
-    @classmethod
-    def finite(cls, value: float):
-        if not value > 0:
-            raise ValueError("finite critical parameter must be positive")
-        return cls("finite", float(value))
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +152,6 @@ def aux_size_bound(kind: str, r, s, q: float):
     raise DomainError(f"unknown auxiliary kind {kind!r}")
 
 
-def _check_slab(r: float, s: float, q: float) -> None:
-    """Exact slab membership: r, s > 0 and 1 <= r*s <= Q (tolerance zero)."""
-    if not (r > 0 and s > 0):
-        raise DomainError("r and s must be strictly positive")
-    u = r * s
-    if not (1.0 <= u <= q):
-        raise DomainError(f"r*s = {u} outside [1, {q}]")
-
-
-def eval_aux(kind: str, r: float, s: float, ctx: QContext) -> float:
-    """Evaluate M, N, K, Mtilde or Ntilde at (r, s) with 1 <= r*s <= Q."""
-    _check_slab(r, s, ctx.q)
-    return float(aux_raw(kind, r, s, ctx.q))
-
-
 # ---------------------------------------------------------------------------
 # batched evaluation core
 # ---------------------------------------------------------------------------
@@ -216,11 +174,6 @@ def _check_denominators(*denoms):
         if not np.all(d > 0):
             raise DomainError("auxiliary denominator not strictly positive; "
                               "point outside the evaluation region")
-
-
-def _critical_split(za, nu, r, s, k, q):
-    """Numerator Q r nu - K |zeta| and denominator Q s |zeta| - K nu of a_m."""
-    return q * r * nu - k * za, q * s * za - k * nu
 
 
 def components_batch(x: np.ndarray, q: float) -> np.ndarray:
@@ -253,8 +206,10 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     b41 = z - zz / d41 + h - eta2 / s
     b42 = z - zz / r + h - eta2 / d42
 
-    # B43: radial profile, zeta and nu taken nonnegative.
-    num, den = _critical_split(np.abs(zeta), np.sqrt(eta2), r, s, k, q)
+    # B43: radial profile, zeta and nu taken nonnegative; the critical
+    # parameter is a_m = num / den = (Q r nu - K |zeta|) / (Q s |zeta| - K nu).
+    za, nu = np.abs(zeta), np.sqrt(eta2)
+    num, den = q * r * nu - k * za, q * s * za - k * nu
     finite = (num > 0) & (den > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         am = np.where(finite, num / np.where(finite, den, 1.0), 1.0)
@@ -294,53 +249,6 @@ def radial_batch(z, h, za, nu, r, s, q: float) -> np.ndarray:
     return bq_batch(cols, q)
 
 
-# ---------------------------------------------------------------------------
-# scalar operations
-# ---------------------------------------------------------------------------
-
-def critical_a(point: BellmanPoint, ctx: QContext) -> CriticalA:
-    """Critical parameter a_m = (Q r nu - K zeta) / (Q s zeta - K nu).
-
-    zeta enters through its absolute value and nu = |eta|.  The finite
-    case requires numerator and denominator both strictly positive; a
-    nonpositive numerator (resp. denominator) with the other term positive
-    gives the zero (resp. infinite) case.  Both nonpositive only happens
-    at zeta = eta = 0 and is reported as degenerate.
-    """
-    point.validate(ctx)
-    k = float(aux_raw("K", point.r, point.s, ctx.q))
-    num, den = _critical_split(abs(point.zeta), point.nu, point.r, point.s, k, ctx.q)
-    if num > 0 and den > 0:
-        return CriticalA.finite(num / den)
-    if num > 0:
-        return CriticalA.infinite()
-    if den > 0:
-        return CriticalA.zero()
-    raise DegeneratePointError(
-        "critical parameter is 0/0 (zeta = eta = 0); resample the point")
-
-
-def eval_component(component_id: str, point: BellmanPoint, ctx: QContext) -> float:
-    """Evaluate a single component B1 .. B43 at a domain point."""
-    if component_id not in COMPONENT_IDS:
-        raise DomainError(f"unknown component {component_id!r}")
-    point.validate(ctx)
-    c = components_batch(point.as_array()[None, :], ctx.q)
-    return float(c[0, COMPONENT_IDS.index(component_id)])
-
-
-def eval_bq(point: BellmanPoint, ctx: QContext) -> float:
-    """The Bellman function value at a domain point."""
-    point.validate(ctx)
-    return float(bq_batch(point.as_array()[None, :], ctx.q)[0])
-
-
-def unweighted_sum(point: BellmanPoint, ctx: QContext) -> float:
-    """Plain component sum (diagnostic; satisfies 0 <= . <= 6(Z+H))."""
-    point.validate(ctx)
-    return float(unweighted_batch(point.as_array()[None, :], ctx.q)[0])
-
-
 def pi_distance_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Relative distance to the singular set Pi, batched.
 
@@ -360,12 +268,6 @@ def pi_distance_batch(x: np.ndarray, q: float) -> np.ndarray:
         r2 = np.abs(k_over_q[ok] - nu[ok] * r[ok] / za[ok]) / k_over_q[ok]
         out[ok] = np.minimum(r1, r2)
     return out
-
-
-def pi_distance(point: BellmanPoint, ctx: QContext) -> float:
-    """Relative distance of a point to the singular set Pi (inf if off-axis)."""
-    point.validate(ctx)
-    return float(pi_distance_batch(point.as_array()[None, :], ctx.q)[0])
 
 
 def beta_values(x: np.ndarray, q: float, a) -> np.ndarray:

@@ -21,7 +21,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .gauss import (
     FlowGrid,
@@ -173,29 +172,38 @@ def weighted_riesz_norm(w: WeightSpec, n_dim: int,
                         q2_value: float | None = None) -> NormResult:
     """Largest weighted singular value of the Riesz shift on span{hhat_1..hhat_N}.
 
-    Builds the Gram matrices A (of hhat_1..hhat_N) and B (of the shifted
-    family hhat_0..hhat_{N-1}) in L^2(w dgamma) and solves B v = lambda A v
-    by symmetric reduction.  A must be numerically positive definite.
+    The norm is the largest ||D0 v|| / ||D1 v||, where D1 holds hhat_1..hhat_N
+    and D0 the shifted family hhat_0..hhat_{N-1} at the Gauss-Hermite nodes,
+    both scaled by sqrt(quadrature weight * w).  With D1 = QR it is the
+    largest singular value of R^{-T} D0^T.  Working on the design instead of
+    the Gram matrices' eigenproblem B v = lambda A v keeps the condition
+    number unsquared (Van Loan 1976).  N must stay below the node count
+    (hhat_N vanishes at every node when N equals it), and the Gram matrix
+    A = D1^T D1 must pass a Cholesky test.
     """
     if n_dim < 2:
         raise EstimateError("subspace dimension must be >= 2")
     xg, wg = gh_rule(default_quad_order(w))
+    if n_dim >= len(xg):
+        raise EstimateError(f"subspace dimension must be below the quadrature "
+                            f"order {len(xg)}")
     design = hermite_design(n_dim, xg)                      # (X, N+1)
-    gram = design.T @ (design * (wg * w(xg))[:, None])      # (N+1, N+1)
+    weight = wg * w(xg)
+    gram = design.T @ (design * weight[:, None])            # (N+1, N+1)
     if not np.all(np.isfinite(gram)):
         raise EstimateError("Gram matrix overflowed; raise the quadrature order")
     a = gram[1:, 1:]
-    b = gram[:-1, :-1]
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise EstimateError(
             "weighted Gram matrix is not positive definite at this "
             "quadrature order; raise the order or lower N") from exc
-    lam = scipy.linalg.eigh(b, a, eigvals_only=True)[-1]
+    scaled = design * np.sqrt(weight)[:, None]
+    r = np.linalg.qr(scaled[:, 1:], mode="r")
+    norm = float(np.linalg.norm(np.linalg.solve(r.T, scaled[:, :-1].T), 2))
     if q2_value is None:
         q2_value = q2_characteristic(w, grid or default_flow_grid()).value
-    norm = math.sqrt(float(lam))
     return NormResult(norm, q2_value, norm / (80.0 * q2_value), n_dim)
 
 

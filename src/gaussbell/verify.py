@@ -32,7 +32,6 @@ from .bellman import (
     BellmanPoint,
     DomainError,
     QContext,
-    _check_slab,
     _split_columns,
     aux_raw,
     aux_size_bound,
@@ -111,17 +110,6 @@ class SuiteConfig:
         return {**asdict(self), "q_list": list(self.q_list)}
 
 
-@dataclass
-class PointVerdict:
-    point: BellmanPoint
-    size_ok: bool
-    sign_ok: bool | None          # None when the forward step did not fit
-    hessian_ok: bool | None       # None when excluded near Pi or stencil skipped
-    worst_margin: float
-    excluded_near_pi: bool
-    skip_reasons: tuple = ()
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -185,14 +173,6 @@ def sample_columns(q: float, eta_dim: int, count: int,
     mag = rng.uniform(0.0, 1.0, count) * np.sqrt((1 - d) * h * s)
     eta = direction * mag[:, None]
     return np.column_stack([z, h, zeta, eta, r, s])
-
-
-def sample_domain(ctx: QContext, count: int, seed) -> list:
-    """Deterministic list of BellmanPoints strictly inside D_Q."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    cols = sample_columns(ctx.q, ctx.eta_dim, count, _rng(seed))
-    return [BellmanPoint.from_array(row) for row in cols]
 
 
 def in_domain_batch(x: np.ndarray, q: float) -> np.ndarray:
@@ -292,23 +272,6 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
     return hess, used_h, fitted
 
 
-def fd_hessian(point: BellmanPoint, ctx: QContext, h: float) -> np.ndarray:
-    """Finite-difference Hessian at one point (raises if no step fits).
-
-    Staying clear of the singular set is the caller's job: finite
-    differences straddling Pi are meaningless, so check pi_distance
-    against the exclusion band first (verify_point does).
-    """
-    point.validate(ctx)
-    if not h > 0:
-        raise DomainError("h must be > 0")
-    hess, _, fitted = fd_hessian_batch(point.as_array()[None, :], ctx.q, h)
-    if not fitted[0]:
-        raise DomainError(
-            f"stencil leaves D_Q even after {MAX_HALVINGS} halvings of h")
-    return hess[0]
-
-
 def hessian_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """2*dim signed coordinate directions plus `count` random unit vectors."""
     eye = np.eye(dim)
@@ -389,13 +352,8 @@ def b43_reference_batch(x: np.ndarray, q: float) -> np.ndarray:
     return x[:, 0] + x[:, 1] - beta_max
 
 
-def b43_reference(point: BellmanPoint, ctx: QContext) -> float:
-    point.validate(ctx)
-    return float(b43_reference_batch(point.as_array()[None, :], ctx.q)[0])
-
-
 # ---------------------------------------------------------------------------
-# point verification
+# per-row verdicts
 # ---------------------------------------------------------------------------
 
 def _directions(ctx: QContext, cfg: SuiteConfig) -> np.ndarray:
@@ -448,33 +406,6 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
         "hessian_fail": hess_margin < -HESSIAN_TOL,
         "deriv_ratio": ratios,
     }
-
-
-def verify_point(point: BellmanPoint, ctx: QContext, cfg: SuiteConfig) -> PointVerdict:
-    """Size / sign / Hessian verdict for a single point: one row of the suite.
-
-    The Hessian directions are the ones the suite uses for ctx.q.  Margins are
-    pre-tolerance slacks normalized by 1 + |B_Q| (size by 1 + Z + H); the
-    _ok flags apply the documented tolerances.
-    """
-    point.validate(ctx)
-    v = {k: a[0] for k, a in
-         _row_verdicts(point.as_array()[None, :], ctx.q, cfg, _directions(ctx, cfg)).items()}
-    hessian_done = not (v["near_pi"] or v["stencil_unfit"])
-    skip = [reason for flag, reason in (
-        (not v["sign_fits"], "sign step does not fit in domain"),
-        (v["near_pi"], "within Pi exclusion band"),
-        (v["stencil_unfit"], "hessian stencil does not fit in domain")) if flag]
-    margins = [float(v[k]) for k in ("size_margin", "sign_margin", "hessian_margin")]
-    return PointVerdict(
-        point=point,
-        size_ok=not v["size_fail"],
-        sign_ok=not v["sign_fail"] if v["sign_fits"] else None,
-        hessian_ok=not v["hessian_fail"] if hessian_done else None,
-        worst_margin=min(margins),
-        excluded_near_pi=bool(v["near_pi"]),
-        skip_reasons=tuple(skip),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,26 +466,6 @@ def aux_margins_batch(r: np.ndarray, s: np.ndarray, q: float, h: float):
             worst = np.minimum(worst, form - _aux_hessian_rhs(kind, r, s, vr, vs))
         out[kind] = (size_margin, worst)
     return out
-
-
-def verify_aux(r: float, s: float, ctx: QContext, h: float) -> dict:
-    """Certificates for the five auxiliary functions at one (r, s) node.
-
-    Returns {kind: {"value", "size_ok", "hessian_ok", "size_margin",
-    "hessian_margin"}}.  The node must satisfy 1 <= r*s <= Q.
-    """
-    _check_slab(r, s, ctx.q)
-    margins = aux_margins_batch(np.array([r]), np.array([s]), ctx.q, h)
-    verdict = {}
-    for kind, (sm, hm) in margins.items():
-        verdict[kind] = {
-            "value": float(aux_raw(kind, r, s, ctx.q)),
-            "size_margin": float(sm[0]),
-            "hessian_margin": float(hm[0]),
-            "size_ok": bool(sm[0] >= -AUX_SIZE_TOL),
-            "hessian_ok": bool(hm[0] >= -AUX_HESSIAN_TOL),
-        }
-    return verdict
 
 
 def aux_grid_nodes(q: float, n: int):
@@ -740,7 +651,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
             margin = min(margin, val, bound - val)
             if not (0 <= val <= bound):
                 fails += 1
-            gap = max(gap, abs(val - bellman.eval_bq(pt, ctx)))
+            gap = max(gap, abs(val - bq_batch(pt.as_array()[None, :], q)[0]))
         checks.append(CheckResult(
             name=f"mollify_bound[{label}]", count=len(probes), failures=fails,
             skipped=0, worst_margin=None if not probes else float(margin)))

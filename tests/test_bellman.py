@@ -12,24 +12,25 @@ from gaussbell.bellman import (
     C2,
     C3,
     C4,
-    DegeneratePointError,
     DomainError,
     EFFECTIVE_SIZE_CONSTANT,
     QContext,
     aux_raw,
     aux_size_bound,
+    beta_values,
+    bq_batch,
     components_batch,
-    critical_a,
-    eval_aux,
-    eval_bq,
-    eval_component,
-    pi_distance,
-    unweighted_sum,
+    pi_distance_batch,
+    unweighted_batch,
 )
-from gaussbell.verify import b43_reference, sample_columns, sample_domain, _rng
+from gaussbell.verify import b43_reference_batch, sample_columns, _rng
 
 Q1 = QContext(1.0)
-Q2 = QContext(2.0)
+
+
+def row(*coords) -> np.ndarray:
+    """One (Z, H, zeta, eta, r, s) point as a one-row batch."""
+    return np.array([coords], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -43,16 +44,16 @@ Q2 = QContext(2.0)
     ("N", 1.0, 2.0, 2.0, 7.0),          # -8 - 2 + 17
 ])
 def test_aux_examples(kind, r, s, q, expected):
-    assert eval_aux(kind, r, s, QContext(q)) == pytest.approx(expected, abs=1e-12)
+    assert aux_raw(kind, r, s, q) == pytest.approx(expected, abs=1e-12)
 
 
 def test_aux_rejects_outside_slab():
     with pytest.raises(DomainError):
-        eval_aux("M", 2.0, 2.0, Q2)       # rs = 4 > Q
+        BellmanPoint(1, 1, 0, (0,), 2.0, 2.0).validate(QContext(2.0))   # rs = 4 > Q
     with pytest.raises(DomainError):
-        eval_aux("K", 0.5, 1.0, Q2)       # rs = 0.5 < 1
+        BellmanPoint(1, 1, 0, (0,), 0.5, 1.0).validate(QContext(2.0))   # rs = 0.5 < 1
     with pytest.raises(DomainError):
-        eval_aux("Z", 1.0, 1.0, Q2)
+        aux_raw("Z", 1.0, 1.0, 2.0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,32 +76,34 @@ def test_aux_size_bounds_on_slab(q, u, logr):
 # ---------------------------------------------------------------------------
 
 def test_critical_a_symmetric_point():
-    res = critical_a(BellmanPoint(1, 1, 1, (1,), 1, 1), Q2)
-    assert res.case == "finite"
-    assert res.value == pytest.approx(1.0, abs=1e-14)
+    # a_m = 1 by symmetry: B43 = Z + H - beta(1)
+    x = row(1, 1, 1, 1, 1, 1)
+    b43 = components_batch(x, 2.0)[0, 5]
+    assert b43 == pytest.approx(2.0 - beta_values(x, 2.0, 1.0)[0], abs=1e-14)
 
 
 def test_critical_a_axis_cases():
-    assert critical_a(BellmanPoint(1, 1, 1, (0,), 1, 1), Q2).case == "zero"
-    assert critical_a(BellmanPoint(1, 1, 0, (1,), 1, 1), Q2).case == "infinite"
-    with pytest.raises(DegeneratePointError):
-        critical_a(BellmanPoint(1, 1, 0, (0,), 1, 1), Q2)
+    # eta = 0: a_m = 0, B43 = Z + H - zeta^2/r
+    assert components_batch(row(1, 1, 1, 0, 1, 1), 2.0)[0, 5] == 1.0
+    # zeta = 0: a_m = inf, B43 = Z + H - eta^2/s
+    assert components_batch(row(1, 1, 0, 1, 1, 1), 2.0)[0, 5] == 1.0
+    # zeta = eta = 0: every a gives Z + H
+    assert components_batch(row(1, 1, 0, 0, 1, 1), 2.0)[0, 5] == 2.0
+
+
+X42 = sample_columns(2.0, 1, 500, _rng(42))
 
 
 @settings(max_examples=200, deadline=None)
 @given(lam=st.floats(1e-3, 1e3), idx=st.integers(0, 499))
 def test_critical_a_scale_invariance(lam, idx):
-    """Scaling (zeta, eta) by lambda > 0 does not move the critical parameter."""
-    pts = sample_domain(Q2, 500, seed=42)
-    p = pts[idx]
-    res = critical_a(p, Q2)
+    """Scaling (zeta, eta) by lambda > 0 does not move the critical parameter,
+    so B43 scales like Z and H, by lambda^2."""
+    x = X42[idx:idx + 1]
     # scale Z, H along to stay in the domain
-    q = BellmanPoint(p.z * lam**2, p.h * lam**2, p.zeta * lam,
-                     tuple(lam * v for v in p.eta), p.r, p.s)
-    res2 = critical_a(q, Q2)
-    assert res.case == res2.case
-    if res.case == "finite":
-        assert res2.value == pytest.approx(res.value, rel=1e-12)
+    y = x * [lam**2, lam**2, lam, lam, 1.0, 1.0]
+    b43, b43_scaled = components_batch(np.vstack([x, y]), 2.0)[:, 5]
+    assert b43_scaled == pytest.approx(lam**2 * b43, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +112,11 @@ def test_critical_a_scale_invariance(lam, idx):
 
 def test_component_boundary_point():
     # zeta^2 = Z r and <eta,eta> = H s make B1 vanish
-    assert eval_component("B1", BellmanPoint(1, 1, 1, (1,), 1, 1), Q2) == 0.0
+    assert components_batch(row(1, 1, 1, 1, 1, 1), 2.0)[0, 0] == 0.0
 
 
 def test_component_b2_at_origin_slots():
-    assert eval_component("B2", BellmanPoint(1, 1, 0, (0,), 1, 1), Q1) == 2.0
+    assert components_batch(row(1, 1, 0, 0, 1, 1), 1.0)[0, 1] == 2.0
 
 
 def test_b43_closed_form_value():
@@ -121,33 +124,33 @@ def test_b43_closed_form_value():
     # 2 - 2/(1 + K/Q) with K = sqrt(2) - 1/4
     k = math.sqrt(2.0) - 0.25
     expected = 2.0 - 2.0 / (1.0 + k / 2.0)
-    p = BellmanPoint(1, 1, 1, (1,), 1, 1)
-    assert eval_component("B43", p, Q2) == pytest.approx(expected, abs=1e-14)
+    x = row(1, 1, 1, 1, 1, 1)
+    assert components_batch(x, 2.0)[0, 5] == pytest.approx(expected, abs=1e-14)
     # independent golden-section maximization agrees
-    assert b43_reference(p, Q2) == pytest.approx(expected, abs=1e-8)
+    assert b43_reference_batch(x, 2.0)[0] == pytest.approx(expected, abs=1e-8)
 
 
 def test_b43_degenerate_origin_is_sum():
     # at zeta = eta = 0 every choice of the inner parameter gives Z + H
-    assert eval_component("B43", BellmanPoint(3, 4, 0, (0,), 1, 1), Q1) == 7.0
+    assert components_batch(row(3, 4, 0, 0, 1, 1), 1.0)[0, 5] == 7.0
 
 
 def test_eval_bq_worked_example():
     # all six components equal 2 at this point; weighted sum is
     # 2 + (sqrt2/3)*4 + (288/13)*6
     expected = 2.0 + C2 * 4.0 + C4 * 6.0
-    val = eval_bq(BellmanPoint(1, 1, 0, (0,), 1, 1), Q1)
+    val = bq_batch(row(1, 1, 0, 0, 1, 1), 1.0)[0]
     assert val == pytest.approx(expected, rel=1e-14)
     assert val == pytest.approx(136.80869500624104, rel=1e-12)
 
 
 def test_eval_bq_zero_point():
-    assert eval_bq(BellmanPoint(0, 0, 0, (0,), 1, 1), Q1) == 0.0
-    assert eval_bq(BellmanPoint(0, 0, 0, (0,), 1, 1), QContext(7.0)) == 0.0
+    assert bq_batch(row(0, 0, 0, 0, 1, 1), 1.0)[0] == 0.0
+    assert bq_batch(row(0, 0, 0, 0, 1, 1), 7.0)[0] == 0.0
 
 
 def test_eval_bq_within_size_bound():
-    val = eval_bq(BellmanPoint(1, 1, 1, (1,), 1, 1), Q2)
+    val = bq_batch(row(1, 1, 1, 1, 1, 1), 2.0)[0]
     assert 0.0 <= val <= 160.0
 
 
@@ -169,21 +172,19 @@ def test_component_and_sum_bounds_sampled(q):
 
 def test_radiality_under_eta_rotation():
     """B_Q depends on eta only through its length (eta_dim = 3)."""
-    ctx = QContext(5.0, eta_dim=3)
-    pts = sample_domain(ctx, 50, seed=3)
+    x = sample_columns(5.0, 3, 50, _rng(3))
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3))
     orth, _ = np.linalg.qr(a)
-    for p in pts:
-        rotated = BellmanPoint(p.z, p.h, p.zeta,
-                               tuple(orth @ np.asarray(p.eta)), p.r, p.s)
-        assert eval_bq(rotated, ctx) == pytest.approx(eval_bq(p, ctx),
-                                                      rel=1e-12)
+    rotated = x.copy()
+    rotated[:, 3:6] = x[:, 3:6] @ orth.T
+    for p, p_rot in zip(x, rotated):
+        assert bq_batch(p_rot[None, :], 5.0)[0] == pytest.approx(
+            bq_batch(p[None, :], 5.0)[0], rel=1e-12)
 
 
 def test_unweighted_sum_six_bound():
-    p = BellmanPoint(1, 1, 0, (0,), 1, 1)
-    assert unweighted_sum(p, Q1) == pytest.approx(12.0, rel=1e-14)
+    assert unweighted_batch(row(1, 1, 0, 0, 1, 1), 1.0)[0] == pytest.approx(12.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +192,9 @@ def test_unweighted_sum_six_bound():
 # ---------------------------------------------------------------------------
 
 def test_pi_distance_conventions():
-    assert pi_distance(BellmanPoint(1, 1, 0, (0,), 1, 1), Q1) == math.inf
-    assert pi_distance(BellmanPoint(1, 1, 1, (0,), 1, 1), Q1) == math.inf
-    assert pi_distance(BellmanPoint(1, 1, 1, (1,), 1, 1), Q2) > 0.0
+    assert pi_distance_batch(row(1, 1, 0, 0, 1, 1), 1.0)[0] == math.inf
+    assert pi_distance_batch(row(1, 1, 1, 0, 1, 1), 1.0)[0] == math.inf
+    assert pi_distance_batch(row(1, 1, 1, 1, 1, 1), 2.0)[0] > 0.0
 
 
 def test_pi_distance_vanishes_on_pi():
@@ -202,8 +203,8 @@ def test_pi_distance_vanishes_on_pi():
     k = float(aux_raw("K", r, s, q))
     zeta = 1.0
     eta = zeta * s * q / k
-    p = BellmanPoint(10.0, 10.0, zeta, (eta,), r, s)
-    assert pi_distance(p, QContext(q)) == pytest.approx(0.0, abs=1e-14)
+    assert pi_distance_batch(row(10.0, 10.0, zeta, eta, r, s), q)[0] == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_domain_validation():
@@ -227,7 +228,6 @@ def test_b43_reference_matches_closed_form_sampled():
     ctx = QContext(q)
     x = sample_columns(q, 1, 2000, _rng(17))
     comps = components_batch(x, q)
-    from gaussbell.verify import b43_reference_batch
     ref = b43_reference_batch(x, q)
     # restrict to points with a finite critical parameter
     za = np.abs(x[:, 2])

@@ -195,6 +195,7 @@ def test_parser_flags_come_from_defaults():
     ["aux-bounds", "--fd-step", "0"],
     ["aux-bounds", "--fd-step", "-1"],
     ["aux-bounds", "--fd-step", "nan"],
+    ["riesz-norm", "--n", "80"],
 ], ids=" ".join)
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, argv):
     out = tmp_path / "out"

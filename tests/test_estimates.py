@@ -128,6 +128,45 @@ def test_riesz_norm_rejects_tiny_subspace():
         weighted_riesz_norm(WeightSpec.constant(1.0), 1, grid=COARSE_GRID)
 
 
+def test_riesz_norm_needs_fewer_dimensions_than_nodes():
+    # hhat_80 vanishes at all 80 Gauss-Hermite nodes of the constant weight's rule
+    with pytest.raises(EstimateError):
+        weighted_riesz_norm(WeightSpec.constant(1.0), 80, q2_value=1.0)
+    res = weighted_riesz_norm(WeightSpec.constant(1.0), 79, q2_value=1.0)
+    assert res.weighted_norm == pytest.approx(1.0, abs=1e-10)
+
+
+def test_riesz_norm_gram_gate_refuses_steep_weight():
+    with pytest.raises(EstimateError):
+        weighted_riesz_norm(WeightSpec.exp_linear(2.0), 40, q2_value=1.0)
+
+
+def _exact_riesz_norm(a: float, n_dim: int) -> float:
+    """The N-dimensional Riesz norm for w = e^{ax} from the exact Gram matrix.
+
+    E[hhat_m hhat_n e^{aX}] = e^{a^2/2} E[He_m(Y+a) He_n(Y+a)] / sqrt(m! n!)
+    with E[He_m(Y+a) He_n(Y+a)] = sum_k C(m,k) C(n,k) a^{m+n-2k} k!; the
+    factor e^{a^2/2} cancels.  The eigenproblem is solved at 50 digits.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = mp.mpf(a)
+        gram = mp.matrix([[sum(math.comb(m, k) * math.comb(n, k) * math.factorial(k)
+                               * a ** (m + n - 2 * k) for k in range(min(m, n) + 1))
+                           / mp.sqrt(math.factorial(m) * math.factorial(n))
+                           for n in range(n_dim + 1)] for m in range(n_dim + 1)])
+        inv_l = mp.inverse(mp.cholesky(gram[1:, 1:]))
+        reduced = inv_l * gram[0:n_dim, 0:n_dim] * inv_l.T
+        return float(mp.sqrt(max(mp.eigsy(reduced, eigvals_only=True))))
+
+
+@pytest.mark.parametrize("a, tol", [(1.0, 1e-13), (1.5, 1e-13), (2.0, 1e-11)])
+def test_riesz_norm_matches_exact_gram(a, tol):
+    exact = _exact_riesz_norm(a, 32)
+    res = weighted_riesz_norm(WeightSpec.exp_linear(a), 32, q2_value=1.0)
+    assert abs(res.weighted_norm - exact) <= tol * exact
+
+
 # ---------------------------------------------------------------------------
 # representation identity
 # ---------------------------------------------------------------------------

@@ -296,10 +296,13 @@ def test_heat_weight_of_a_constant_at_scalar_arguments():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    """scipy.special loads on the first clipped heat step, not on import."""
+    """No scipy module loads on import; scipy.special loads on the first
+    clipped heat step."""
     src = os.path.dirname(os.path.dirname(gaussbell.__file__))
     code = ("import sys, gaussbell, gaussbell.cli; "
-            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'")
+            "assert 'scipy.special' not in sys.modules, 'scipy.special imported'; "
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+            "assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)

@@ -1,22 +1,23 @@
 import numpy as np
 import pytest
 
-from gaussbell.bellman import BellmanPoint, DomainError, QContext, aux_raw
+from gaussbell.bellman import BellmanPoint, DomainError, QContext, aux_raw, bq_batch
 from gaussbell.report import VerificationReport
 from gaussbell.verify import (
+    AUX_HESSIAN_TOL,
+    AUX_SIZE_TOL,
     SuiteConfig,
-    fd_hessian,
+    aux_margins_batch,
     fd_hessian_batch,
     hessian_directions,
     in_domain_batch,
     mollify_eval,
     run_suite,
     sample_columns,
-    sample_domain,
     sign_forward_diff_batch,
-    verify_aux,
-    verify_point,
+    _directions,
     _rng,
+    _row_verdicts,
 )
 
 Q1 = QContext(1.0)
@@ -28,32 +29,26 @@ Q2 = QContext(2.0)
 # ---------------------------------------------------------------------------
 
 def test_sample_domain_membership_and_count():
-    pts = sample_domain(Q2, 1000, seed=5)
-    assert len(pts) == 1000
-    for p in pts:
-        p.validate(Q2)              # raises on violation
+    x = sample_columns(2.0, 1, 1000, _rng(5))
+    assert x.shape == (1000, 6)
+    for row in x:
+        BellmanPoint.from_array(row).validate(Q2)      # raises on violation
 
 
 def test_sample_domain_q1_pins_rs_exactly():
     # membership is exact, so the degenerate slab must be hit to the ulp
-    for p in sample_domain(Q1, 500, seed=1):
-        assert p.r * p.s == 1.0
-        p.validate(Q1)
+    x = sample_columns(1.0, 1, 500, _rng(1))
+    assert np.all(x[:, -2] * x[:, -1] == 1.0)
+    for row in x:
+        BellmanPoint.from_array(row).validate(Q1)
 
 
 def test_sample_domain_deterministic():
-    a = sample_domain(Q2, 64, seed=99)
-    b = sample_domain(Q2, 64, seed=99)
-    assert all(pa.as_array().tolist() == pb.as_array().tolist()
-               for pa, pb in zip(a, b))
-    c = sample_domain(Q2, 64, seed=100)
-    assert any(pa.as_array().tolist() != pc.as_array().tolist()
-               for pa, pc in zip(a, c))
-
-
-def test_sample_domain_rejects_bad_count():
-    with pytest.raises(DomainError):
-        sample_domain(Q2, 0, seed=1)
+    a = sample_columns(2.0, 1, 64, _rng(99))
+    b = sample_columns(2.0, 1, 64, _rng(99))
+    assert np.array_equal(a, b)
+    c = sample_columns(2.0, 1, 64, _rng(100))
+    assert np.any(a != c)
 
 
 def test_in_domain_batch_is_exact():
@@ -89,25 +84,28 @@ def test_fd_hessian_matches_analytic_b1():
 
 def test_fd_hessian_pure_z_direction_vanishes():
     # B_Q is affine in Z, so the (Z, Z) entry is zero up to noise
-    p = BellmanPoint(2.0, 3.0, 0.5, (0.7,), 1.1, 1.4)
-    hess = fd_hessian(p, Q2, 1e-4)
-    assert abs(hess[0, 0]) <= 1e-6
-    assert abs(hess[1, 1]) <= 1e-6
+    x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
+    hess, _, fitted = fd_hessian_batch(x, 2.0, 1e-4)
+    assert fitted[0]
+    assert abs(hess[0, 0, 0]) <= 1e-6
+    assert abs(hess[0, 1, 1]) <= 1e-6
 
 
 def test_fd_hessian_richardson_consistency():
-    p = BellmanPoint(2.0, 3.0, 0.5, (0.7,), 1.1, 1.4)
-    h1 = fd_hessian(p, Q2, 1e-3)
-    h2 = fd_hessian(p, Q2, 5e-4)
+    x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
+    h1, _, fit1 = fd_hessian_batch(x, 2.0, 1e-3)
+    h2, _, fit2 = fd_hessian_batch(x, 2.0, 5e-4)
+    assert fit1[0] and fit2[0]
     # second-order method: quarter the step error at half the step
     assert np.max(np.abs(h1 - h2)) <= 4 * np.max(np.abs(h2)) * 1e-5 + 1e-8
 
 
 def test_fd_hessian_unfittable_on_degenerate_slab():
     # Q = 1 forces rs = 1 exactly; any r or s step leaves the domain
-    p = BellmanPoint(1.0, 1.0, 0.1, (0.1,), 1.0, 1.0)
-    with pytest.raises(DomainError):
-        fd_hessian(p, Q1, 1e-4)
+    x = np.array([[1.0, 1.0, 0.1, 0.1, 1.0, 1.0]])
+    hess, used_h, fitted = fd_hessian_batch(x, 1.0, 1e-4)
+    assert not fitted[0]
+    assert np.isnan(used_h[0]) and np.all(np.isnan(hess[0]))
 
 
 def test_fd_hessian_batch_symmetry():
@@ -152,18 +150,17 @@ def test_sign_forward_diff_skips_when_step_exits():
 
 def test_verify_point_size_example():
     cfg = SuiteConfig(q_list=(1.0,), samples_per_q=1, seed=0)
-    v = verify_point(BellmanPoint(1, 1, 0, (0,), 1, 1), Q1, cfg)
-    assert v.size_ok                      # value ~ 136.81 <= 160
-    assert v.sign_ok
+    v = _row_verdicts(np.array([[1.0, 1, 0, 0, 1, 1]]), 1.0, cfg, _directions(Q1, cfg))
+    assert not v["size_fail"][0]          # value ~ 136.81 <= 160
+    assert v["sign_fits"][0] and not v["sign_fail"][0]
     # Q = 1: stencil never fits, recorded as a skip, not a failure
-    assert v.hessian_ok is None
-    assert "stencil" in " ".join(v.skip_reasons)
+    assert v["stencil_unfit"][0] and not v["hessian_fail"][0]
 
 
 def test_verify_point_zero_point():
     cfg = SuiteConfig(q_list=(2.0,), samples_per_q=1, seed=0)
-    v = verify_point(BellmanPoint(0, 0, 0, (0,), 1.2, 1.2), Q2, cfg)
-    assert v.size_ok
+    v = _row_verdicts(np.array([[0.0, 0, 0, 0, 1.2, 1.2]]), 2.0, cfg, _directions(Q2, cfg))
+    assert not v["size_fail"][0]
 
 
 def test_verify_point_excludes_near_pi():
@@ -171,40 +168,20 @@ def test_verify_point_excludes_near_pi():
     k = float(aux_raw("K", r, s, q))
     zeta = 1.0
     eta = zeta * s * q / k                  # exactly on Pi
-    p = BellmanPoint(10.0, 10.0, zeta, (eta,), r, s)
     cfg = SuiteConfig(q_list=(q,), samples_per_q=1, seed=0)
-    v = verify_point(p, QContext(q), cfg)
-    assert v.excluded_near_pi
-    assert v.hessian_ok is None
-
-
-@pytest.mark.parametrize("q", [2.0, 10.0])
-def test_verify_point_is_a_row_of_the_suite(q):
-    # verify_point with its default directions reproduces the suite's
-    # per-check totals and worst margin on the suite's own rows
-    cfg = SuiteConfig(q_list=(q,), samples_per_q=300, seed=4, aux_grid_n=2)
-    report = run_suite(cfg)
-    ctx = QContext(q)
-    x = sample_columns(q, 1, 300, _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q)])))
-    verdicts = [verify_point(BellmanPoint.from_array(row), ctx, cfg) for row in x]
-    by_kind = {c.name.split("[")[0]: c for c in report.checks}
-    for kind in ("size", "sign", "hessian"):
-        flags = [getattr(v, f"{kind}_ok") for v in verdicts]
-        assert all(f is None or type(f) is bool for f in flags)
-        assert flags.count(False) == by_kind[kind].failures, kind
-        assert flags.count(None) == by_kind[kind].skipped, kind
-    assert by_kind["hessian"].skipped < 300       # the Hessian rows are exercised
-    worst = [by_kind[k].worst_margin for k in ("size", "sign", "hessian")]
-    assert min(v.worst_margin for v in verdicts) == min(m for m in worst if m is not None)
+    v = _row_verdicts(np.array([[10.0, 10.0, zeta, eta, r, s]]), q, cfg,
+                      _directions(QContext(q), cfg))
+    assert v["near_pi"][0]
+    assert v["hessian_margin"][0] == np.inf and not v["hessian_fail"][0]
 
 
 def test_verify_point_passes_generic_sample():
     cfg = SuiteConfig(q_list=(2.0,), samples_per_q=1, seed=0)
-    for p in sample_domain(Q2, 25, seed=8):
-        v = verify_point(p, Q2, cfg)
-        assert v.size_ok
-        assert v.sign_ok in (True, None)
-        assert v.hessian_ok in (True, None)
+    v = _row_verdicts(sample_columns(2.0, 1, 25, _rng(8)), 2.0, cfg,
+                      _directions(Q2, cfg))
+    assert not v["size_fail"].any()
+    assert not v["sign_fail"].any()
+    assert not v["hessian_fail"].any()
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +189,13 @@ def test_verify_point_passes_generic_sample():
 # ---------------------------------------------------------------------------
 
 def test_verify_aux_size_examples():
-    v = verify_aux(1.0, 2.0, Q2, 1e-4)
-    assert v["M"]["value"] == pytest.approx(14.0)          # <= 5 Q^2 s = 40
-    assert v["M"]["size_ok"]
-    v = verify_aux(1.0, 1.0, Q1, 1e-4)
-    assert v["K"]["value"] == pytest.approx(0.75)          # <= Q = 1
-    assert v["K"]["size_ok"]
-    assert all(rec["hessian_ok"] for rec in v.values())
+    margins = aux_margins_batch(np.array([1.0]), np.array([2.0]), 2.0, 1e-4)
+    assert aux_raw("M", 1.0, 2.0, 2.0) == pytest.approx(14.0)     # <= 5 Q^2 s = 40
+    assert margins["M"][0][0] >= -AUX_SIZE_TOL
+    margins = aux_margins_batch(np.array([1.0]), np.array([1.0]), 1.0, 1e-4)
+    assert aux_raw("K", 1.0, 1.0, 1.0) == pytest.approx(0.75)     # <= Q = 1
+    assert margins["K"][0][0] >= -AUX_SIZE_TOL
+    assert all(hm[0] >= -AUX_HESSIAN_TOL for _, hm in margins.values())
 
 
 def test_verify_aux_hessian_matches_analytic_m():
@@ -230,16 +207,11 @@ def test_verify_aux_hessian_matches_analytic_m():
     assert -hss >= r
 
 
-def test_verify_aux_rejects_outside_slab():
-    with pytest.raises(DomainError):
-        verify_aux(3.0, 3.0, Q2, 1e-4)
-
-
 @pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
 def test_verify_aux_rejects_bad_step(h):
-    # the aux stencil shared by the suite, aux-bounds and verify_aux checks h
+    # the aux stencil shared by the suite and aux-bounds checks h
     with pytest.raises(DomainError):
-        verify_aux(1.0, 1.0, Q1, h)
+        aux_margins_batch(np.array([1.0]), np.array([1.0]), 1.0, h)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +219,9 @@ def test_verify_aux_rejects_bad_step(h):
 # ---------------------------------------------------------------------------
 
 def test_mollify_small_eps_matches_pointwise():
-    from gaussbell.bellman import eval_bq
     p = BellmanPoint(2.0, 2.0, 0.3, (0.4,), 1.2, 1.25)
     val = mollify_eval(p, Q2, eps=1e-8, mc=4000, seed=3)
-    assert val == pytest.approx(eval_bq(p, Q2), abs=1e-5)
+    assert val == pytest.approx(bq_batch(p.as_array()[None, :], 2.0)[0], abs=1e-5)
 
 
 def test_mollify_deterministic_and_bounded():
@@ -263,18 +234,16 @@ def test_mollify_deterministic_and_bounded():
 
 def test_mollify_constant_region_matches_value():
     """Affine dependence on Z, H averages out under the symmetric bump."""
-    from gaussbell.bellman import eval_bq
     p = BellmanPoint(50.0, 50.0, 0.0, (0.0,), 1.2, 1.25)
     val = mollify_eval(p, Q2, eps=0.05, mc=200000, seed=4)
-    assert val == pytest.approx(eval_bq(p, Q2), rel=2e-3)
+    assert val == pytest.approx(bq_batch(p.as_array()[None, :], 2.0)[0], rel=2e-3)
 
 
 def test_mollify_converges_linearly():
     """|mollified - pointwise| shrinks at least linearly in eps on a
     smooth interior point (empirically quadratically: symmetric bump)."""
-    from gaussbell.bellman import eval_bq
     p = BellmanPoint(3.0, 4.0, 0.5, (0.6,), 1.2, 1.25)
-    b = eval_bq(p, Q2)
+    b = bq_batch(p.as_array()[None, :], 2.0)[0]
     gaps = [abs(mollify_eval(p, Q2, eps, 400000, seed=1) - b)
             for eps in (0.2, 0.1, 0.05)]
     assert gaps[0] > gaps[1] > gaps[2]
