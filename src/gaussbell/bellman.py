@@ -176,6 +176,28 @@ def _check_denominators(*denoms):
                               "point outside the evaluation region")
 
 
+def _critical_parameter(zeta, eta2, r, s, k, q: float):
+    """Numerator, denominator and branch of B43's critical parameter.
+
+    On the radial profile (zeta and nu = |eta| taken nonnegative)
+    a_m = num / den = (Q r nu - K |zeta|) / (Q s |zeta| - K nu).  The
+    branch is one of the four sign patterns of (num > 0, den > 0): 0 for
+    a_m finite (both > 0), 1 for a_m infinite (num > 0, den <= 0), 2 for
+    a_m zero (den > 0, num <= 0) and 3 for the zeta = eta = 0 point, where
+    B43 = Z + H.  The branch changes exactly on Pi.
+    """
+    za, nu = np.abs(zeta), np.sqrt(eta2)
+    num, den = q * r * nu - k * za, q * s * za - k * nu
+    return num, den, 2 * (num <= 0) + (den <= 0)
+
+
+def b43_branch_batch(x: np.ndarray, q: float) -> np.ndarray:
+    """B43's critical-parameter branch (0 to 3, see _critical_parameter) per row."""
+    x = np.asarray(x, dtype=float)
+    _, _, zeta, eta2, r, s = _split_columns(x)
+    return _critical_parameter(zeta, eta2, r, s, aux_raw("K", r, s, q), q)[2]
+
+
 def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Component values B1..B43 for points given as an (n, 5+eta_dim) array.
 
@@ -206,24 +228,17 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     b41 = z - zz / d41 + h - eta2 / s
     b42 = z - zz / r + h - eta2 / d42
 
-    # B43: radial profile, zeta and nu taken nonnegative; the critical
-    # parameter is a_m = num / den = (Q r nu - K |zeta|) / (Q s |zeta| - K nu).
-    za, nu = np.abs(zeta), np.sqrt(eta2)
-    num, den = q * r * nu - k * za, q * s * za - k * nu
-    finite = (num > 0) & (den > 0)
+    num, den, branch = _critical_parameter(zeta, eta2, r, s, k, q)
+    finite = branch == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         am = np.where(finite, num / np.where(finite, den, 1.0), 1.0)
         dz43 = r + am * k / q
         dn43 = s + k / (q * am)
         _check_denominators(dz43[finite], dn43[finite])
         b43_fin = z - zz / dz43 + h - eta2 / dn43
-    b43_zero = z + h - zz / r
     b43_inf = z + h - eta2 / s
-    # precedence: finite, then a_m infinite (num>0, den<=0), then a_m zero
-    # (den>0, num<=0), else the zeta=eta=0 point where B43 = Z + H.
-    b43 = np.where(finite, b43_fin,
-                   np.where(num > 0, b43_inf,
-                            np.where(den > 0, b43_zero, z + h)))
+    b43_zero = z + h - zz / r
+    b43 = np.choose(branch, [b43_fin, b43_inf, b43_zero, z + h])
     return np.column_stack([b1, b2, b3, b41, b42, b43])
 
 

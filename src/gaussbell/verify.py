@@ -9,6 +9,13 @@ and checks pointwise:
                band around Pi),
   * sign:      the radial profile is nonincreasing in nu = |eta|.
 
+B_Q is affine in Z and H, so the Hessians difference only the block
+(zeta, eta, r, s) and carry exact zeros in the Z and H rows and columns.
+A Hessian row is skipped, with its reason counted, when it lies in the Pi
+band (near_pi), or when no step above the float64 noise floor keeps its
+stencil inside D_Q (stencil_unfit) or on one branch of B43's critical
+parameter (stencil_crosses_pi).
+
 The same machinery certifies the auxiliary-function bounds (five size
 bounds, five 2x2 Hessian inequalities) on an (r, s) grid, evaluates the
 mollified function by seeded Monte Carlo, and aggregates everything into
@@ -35,6 +42,7 @@ from .bellman import (
     _split_columns,
     aux_raw,
     aux_size_bound,
+    b43_branch_batch,
     bq_batch,
     beta_values,
     pi_distance_batch,
@@ -237,18 +245,26 @@ def _assemble_hessians(fvals: np.ndarray, steps: np.ndarray, dim: int) -> np.nda
 def fd_hessian_batch(x: np.ndarray, q: float, h: float):
     """Central-difference Hessians of B_Q for every row of x.
 
-    The step in coordinate i is h * max(1, |x_i|); if any stencil point
-    leaves D_Q the step is halved, up to MAX_HALVINGS times, after which
-    the point is marked unfitted.  Halvings stop early once the step falls
+    Every component of B_Q is Z + H minus a function of (zeta, eta, r, s),
+    so B_Q is affine in Z and H: only the block coordinates (columns 2
+    onward) are differenced, and the Z and H rows and columns of every
+    fitted Hessian are exact zeros.  The step in block coordinate i is
+    h * max(1, |x_i|).  Every stencil point must lie in D_Q and on the
+    centre's branch of B43's critical parameter (the branch changes on Pi,
+    where B_Q is not twice differentiable); otherwise the step is halved,
+    up to MAX_HALVINGS times.  Halvings stop early once the step falls
     under STEP_NOISE_FLOOR, where float64 cancellation noise would exceed
-    the concavity tolerance.  Returns (hessians, used_h, fitted).
+    the concavity tolerance.  Returns (hessians, used_h, fitted,
+    crosses_pi); crosses_pi marks the unfitted rows whose last stencil lay
+    in D_Q but spanned two branches.
     """
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
-    offsets, _, _ = _stencil_template(dim)
+    offsets, _, _ = _stencil_template(dim - 2)
     hess = np.full((n, dim, dim), np.nan)
     used_h = np.full(n, np.nan)
     fitted = np.zeros(n, dtype=bool)
+    crosses_pi = np.zeros(n, dtype=bool)
     remaining = np.arange(n)
     for level in range(MAX_HALVINGS + 1):
         if remaining.size == 0:
@@ -257,19 +273,25 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
         if hcur < STEP_NOISE_FLOOR and level > 0:
             break
         xr = x[remaining]
-        steps = hcur * np.maximum(1.0, np.abs(xr))            # (m, dim)
-        pts = xr[:, None, :] + steps[:, None, :] * offsets[None, :, :]
-        flat = pts.reshape(-1, dim)
-        ok = in_domain_batch(flat, q).reshape(len(remaining), -1).all(axis=1)
+        steps = hcur * np.maximum(1.0, np.abs(xr[:, 2:]))     # (m, dim - 2)
+        pts = np.repeat(xr[:, None, :], len(offsets), axis=1)
+        pts[:, :, 2:] += steps[:, None, :] * offsets[None, :, :]
+        ok = in_domain_batch(pts.reshape(-1, dim), q).reshape(len(remaining), -1).all(axis=1)
+        branch = b43_branch_batch(pts[ok].reshape(-1, dim), q).reshape(ok.sum(), len(offsets))
+        crossing = np.zeros_like(ok)
+        crossing[ok] = (branch != branch[:, :1]).any(axis=1)
+        crosses_pi[remaining] = crossing
+        ok &= ~crossing
         if ok.any():
             idx = remaining[ok]
-            sel = pts[ok]
-            fvals = bq_batch(sel.reshape(-1, dim), q).reshape(ok.sum(), -1)
-            hess[idx] = _assemble_hessians(fvals, steps[ok], dim)
+            fvals = bq_batch(pts[ok].reshape(-1, dim), q).reshape(ok.sum(), -1)
+            block = np.zeros((idx.size, dim, dim))
+            block[:, 2:, 2:] = _assemble_hessians(fvals, steps[ok], dim - 2)
+            hess[idx] = block
             used_h[idx] = hcur
             fitted[idx] = True
             remaining = remaining[~ok]
-    return hess, used_h, fitted
+    return hess, used_h, fitted, crosses_pi
 
 
 def hessian_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -292,7 +314,8 @@ def hessian_margins(hess: np.ndarray, directions: np.ndarray, q: float,
     dzeta = np.abs(directions[:, 2])
     deta = np.linalg.norm(directions[:, 3:3 + eta_dim], axis=1)
     rhs = (4.0 / q) * dzeta * deta
-    margins = (forms - rhs[None, :]).min(axis=1)
+    # + 0.0: the flat Z/H directions give -0.0, which should read as 0.0
+    margins = (forms - rhs[None, :]).min(axis=1) + 0.0
     pos = rhs > 1e-12
     if pos.any():
         ratios = (forms[:, pos] / rhs[None, pos]).min(axis=1)
@@ -369,7 +392,9 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
     Margins are pre-tolerance slacks normalized by 1 + |B_Q| (size by
     1 + Z + H), +inf where the check was skipped; the *_fail arrays apply
     the documented tolerances.  Rows near Pi get no Hessian; the others
-    are differenced HESSIAN_CHUNK rows at a time.
+    are differenced HESSIAN_CHUNK rows at a time, and a row is skipped as
+    stencil_unfit or stencil_crosses_pi when no step above the noise
+    floor keeps its stencil in D_Q or on one B43 branch.
     """
     n = x.shape[0]
     b = bq_batch(x, q)
@@ -381,11 +406,13 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
     hess_margin = np.full(n, np.inf)
     ratios = np.full(n, np.inf)
     stencil_unfit = np.zeros(n, dtype=bool)
+    crosses_pi = np.zeros(n, dtype=bool)
     eligible = np.flatnonzero(~near_pi)
     for start in range(0, eligible.size, HESSIAN_CHUNK):
         idx = eligible[start:start + HESSIAN_CHUNK]
-        hess, _, fitted = fd_hessian_batch(x[idx], q, cfg.fd_step)
-        stencil_unfit[idx[~fitted]] = True
+        hess, _, fitted, crosses = fd_hessian_batch(x[idx], q, cfg.fd_step)
+        stencil_unfit[idx[~fitted & ~crosses]] = True
+        crosses_pi[idx[crosses]] = True
         if fitted.any():
             sub = idx[fitted]
             margins, ratios_sub = hessian_margins(hess[fitted], directions, q,
@@ -402,6 +429,7 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
         "sign_fail": sign_fits & (fd > SIGN_TOL * scale_b),
         "near_pi": near_pi,
         "stencil_unfit": stencil_unfit,
+        "stencil_crosses_pi": crosses_pi,
         "hessian_margin": hess_margin,
         "hessian_fail": hess_margin < -HESSIAN_TOL,
         "deriv_ratio": ratios,
@@ -623,13 +651,13 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
         value=float(um[iu]), location=_location(x[iu])))
 
     check("sign", int((~v["sign_fits"]).sum()))
-    near_pi = int(v["near_pi"].sum())
-    unfit = int(v["stencil_unfit"].sum())
-    check("hessian", near_pi + unfit)
-    if near_pi or unfit:
+    reasons = {key: int(v[key].sum())
+               for key in ("near_pi", "stencil_unfit", "stencil_crosses_pi")}
+    skipped = sum(reasons.values())
+    check("hessian", skipped)
+    if skipped:
         measurements.append(Measurement(
-            name=f"hessian_skip_reasons[{label}]", value=near_pi + unfit,
-            location={"near_pi": near_pi, "stencil_unfit": unfit}))
+            name=f"hessian_skip_reasons[{label}]", value=skipped, location=reasons))
     min_ratio = float(v["deriv_ratio"].min())
     if math.isfinite(min_ratio):
         measurements.append(Measurement(

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gaussbell.bellman import BellmanPoint, DomainError, QContext, aux_raw, bq_batch
+from gaussbell.bellman import (
+    EFFECTIVE_SIZE_CONSTANT,
+    BellmanPoint,
+    DomainError,
+    QContext,
+    aux_raw,
+    b43_branch_batch,
+    bq_batch,
+    pi_distance_batch,
+)
 from gaussbell.report import VerificationReport
 from gaussbell.verify import (
     AUX_HESSIAN_TOL,
@@ -18,6 +27,7 @@ from gaussbell.verify import (
     _directions,
     _rng,
     _row_verdicts,
+    _stencil_template,
 )
 
 Q1 = QContext(1.0)
@@ -83,18 +93,72 @@ def test_fd_hessian_matches_analytic_b1():
 
 
 def test_fd_hessian_pure_z_direction_vanishes():
-    # B_Q is affine in Z, so the (Z, Z) entry is zero up to noise
+    # B_Q is affine in Z and H, so their rows and columns are exact zeros
     x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
-    hess, _, fitted = fd_hessian_batch(x, 2.0, 1e-4)
+    hess, _, fitted, _ = fd_hessian_batch(x, 2.0, 1e-4)
     assert fitted[0]
-    assert abs(hess[0, 0, 0]) <= 1e-6
-    assert abs(hess[0, 1, 1]) <= 1e-6
+    assert np.all(hess[0, :2, :] == 0.0)
+    assert np.all(hess[0, :, :2] == 0.0)
+    assert np.all(hess[0, 2:, 2:] != 0.0)
+
+
+@pytest.mark.parametrize("eta_dim", [1, 3])
+@pytest.mark.parametrize("q", [2.0, 10.0, 100.0])
+def test_bq_is_affine_in_z_and_h(q, eta_dim):
+    """B_Q(x + a e_Z) - B_Q(x) = (C1+C2+C3+3 C4) a to rounding, and likewise
+    for e_H: this is what lets fd_hessian_batch skip the Z and H columns."""
+    x = sample_columns(q, eta_dim, 500, _rng(17))
+    b = bq_batch(x, q)
+    for col in (0, 1):
+        for a in (1e-3, 0.5, 7.0, 300.0):
+            y = x.copy()
+            y[:, col] += a
+            by = bq_batch(y, q)
+            err = np.abs((by - b) - EFFECTIVE_SIZE_CONSTANT * a)
+            assert np.all(err <= 1e-12 * (np.abs(b) + np.abs(by)))
+
+
+def _stencil_branches(x_row, q, used_h):
+    """B43 branches of every point of the block stencil at step used_h."""
+    offsets, _, _ = _stencil_template(x_row.size - 2)
+    pts = np.repeat(x_row[None, :], len(offsets), axis=0)
+    pts[:, 2:] += used_h * np.maximum(1.0, np.abs(x_row[2:])) * offsets
+    return b43_branch_batch(pts, q)
+
+
+def test_fd_hessian_stencil_stays_on_one_b43_branch():
+    """Rows outside the Pi band whose unit stencil spans two B43 branches.
+
+    With |zeta| = 1e-3 the suite's step h = 1e-4 moves |zeta| by 20%, so a
+    row 5% off Pi (in the den = 0 locus) would be differenced across the
+    branch change; it must be halved onto one branch.  With |zeta| = 1e-6 no
+    step above the noise floor fits, and the row is skipped as crossing.
+    """
+    q, r, s = 10.0, 2.0, 2.0
+    k = float(aux_raw("K", r, s, q))
+    rows = []
+    for zeta, delta in ((1e-3, 0.05), (1e-6, 0.01)):
+        nu = q * s * zeta / (k * (1.0 + delta))      # zeta s / nu = (1+delta) K/Q
+        rows.append([1.0, 1.0, zeta, nu, r, s])
+    x = np.array(rows)
+    assert np.all(pi_distance_batch(x, q) > 1e-3)
+    assert len(set(_stencil_branches(x[0], q, 1e-4))) == 2
+    hess, used_h, fitted, crosses = fd_hessian_batch(x, q, 1e-4)
+    assert fitted[0] and not crosses[0] and used_h[0] < 1e-4
+    assert len(set(_stencil_branches(x[0], q, used_h[0]))) == 1
+    assert not fitted[1] and crosses[1] and np.all(np.isnan(hess[1]))
+
+    cfg = SuiteConfig(q_list=(q,), samples_per_q=1, seed=0)
+    v = _row_verdicts(x, q, cfg, _directions(QContext(q), cfg))
+    assert v["stencil_crosses_pi"].tolist() == [False, True]
+    assert not v["stencil_unfit"].any() and not v["near_pi"].any()
+    assert np.isfinite(v["hessian_margin"][0]) and v["hessian_margin"][1] == np.inf
 
 
 def test_fd_hessian_richardson_consistency():
     x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
-    h1, _, fit1 = fd_hessian_batch(x, 2.0, 1e-3)
-    h2, _, fit2 = fd_hessian_batch(x, 2.0, 5e-4)
+    h1, _, fit1, _ = fd_hessian_batch(x, 2.0, 1e-3)
+    h2, _, fit2, _ = fd_hessian_batch(x, 2.0, 5e-4)
     assert fit1[0] and fit2[0]
     # second-order method: quarter the step error at half the step
     assert np.max(np.abs(h1 - h2)) <= 4 * np.max(np.abs(h2)) * 1e-5 + 1e-8
@@ -103,14 +167,14 @@ def test_fd_hessian_richardson_consistency():
 def test_fd_hessian_unfittable_on_degenerate_slab():
     # Q = 1 forces rs = 1 exactly; any r or s step leaves the domain
     x = np.array([[1.0, 1.0, 0.1, 0.1, 1.0, 1.0]])
-    hess, used_h, fitted = fd_hessian_batch(x, 1.0, 1e-4)
+    hess, used_h, fitted, _ = fd_hessian_batch(x, 1.0, 1e-4)
     assert not fitted[0]
     assert np.isnan(used_h[0]) and np.all(np.isnan(hess[0]))
 
 
 def test_fd_hessian_batch_symmetry():
     x = sample_columns(2.0, 1, 32, _rng(2))
-    hess, used_h, fitted = fd_hessian_batch(x, 2.0, 1e-4)
+    hess, used_h, fitted, _ = fd_hessian_batch(x, 2.0, 1e-4)
     assert fitted.any()
     sym_gap = np.abs(hess[fitted] - np.transpose(hess[fitted], (0, 2, 1)))
     assert np.max(sym_gap) == 0.0
@@ -128,7 +192,7 @@ def test_more_directions_never_help():
     only lower the concavity margin (fails never turn into passes)."""
     from gaussbell.verify import hessian_margins
     x = sample_columns(2.0, 1, 128, _rng(9))
-    hess, _, fitted = fd_hessian_batch(x, 2.0, 1e-4)
+    hess, _, fitted, _ = fd_hessian_batch(x, 2.0, 1e-4)
     d64 = hessian_directions(6, 64, _rng(123))
     d128 = hessian_directions(6, 128, _rng(123))   # same first 64 rows
     assert np.array_equal(d128[: d64.shape[0]], d64)
@@ -314,6 +378,16 @@ def test_run_suite_hessian_skips_recorded_for_q1():
     reasons = next(m for m in rep.measurements
                    if m.name.startswith("hessian_skip_reasons"))
     assert reasons.location["stencil_unfit"] == 50
+
+
+def test_run_suite_reports_stencil_crosses_pi():
+    cfg = SuiteConfig(q_list=(10.0,), samples_per_q=2000, seed=4, aux_grid_n=5)
+    rep = run_suite(cfg, "t")
+    hess = next(c for c in rep.checks if c.name.startswith("hessian"))
+    reasons = next(m for m in rep.measurements
+                   if m.name.startswith("hessian_skip_reasons"))
+    assert set(reasons.location) == {"near_pi", "stencil_unfit", "stencil_crosses_pi"}
+    assert sum(reasons.location.values()) == reasons.value == hess.skipped
 
 
 def test_run_suite_higher_eta_dimension():
