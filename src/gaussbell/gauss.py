@@ -41,6 +41,15 @@ SUBORDINATION_ORDER = 512
 EXP_A_MAX = 2.0
 
 _SQRT_PI = math.sqrt(math.pi)
+#: subordination nodes per block of poisson_step_quadrature: with 80
+#: Gauss-Hermite nodes a block's temporaries stay in cache, where
+#: whole-grid ones would not.  A power of two, so that each block starts
+#: a row group of the BLAS matrix-vector kernel where the whole array
+#: would, which keeps the sums bit-identical to the unblocked ones.
+_S_BLOCK = 128
+#: relative gap (a few ulps) within which q2_characteristic's arg-max
+#: counts a mirror node as tied
+_MIRROR_TIE = 8 * np.finfo(float).eps
 
 
 class QuadratureError(ValueError):
@@ -111,10 +120,15 @@ def hermite_eval(n: int, x, orthonormal: bool = False):
         raise ModelError("n must be >= 0")
     x = np.asarray(x, dtype=float)
     if orthonormal:
-        prev = np.zeros_like(x)
-        curr = np.ones_like(x)
+        # in place, three buffers: the validation quadratures call this on
+        # blocks of Mehler points, so no step allocates a fresh array
+        prev, curr, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
         for k in range(n):
-            prev, curr = curr, (x * curr - math.sqrt(k) * prev) / math.sqrt(k + 1)
+            np.multiply(x, curr, out=nxt)
+            np.multiply(prev, math.sqrt(k), out=prev)
+            nxt -= prev
+            nxt /= math.sqrt(k + 1)
+            prev, curr, nxt = curr, nxt, prev
         return curr if x.ndim else float(curr)
     prev = np.zeros_like(x)
     curr = np.ones_like(x)
@@ -439,10 +453,19 @@ def heat_step_quadrature(n: int, x, s, quad_order: int) -> np.ndarray:
 
 def poisson_step_quadrature(n: int, x, t: float, gl_order: int,
                             gh_order: int) -> np.ndarray:
-    """P_t hhat_n at x via subordination + Mehler quadrature (validation path)."""
+    """P_t hhat_n at x via subordination + Mehler quadrature (validation path).
+
+    The heat steps are taken over blocks of _S_BLOCK subordination nodes,
+    then summed over all nodes at once; every value equals the whole-array
+    evaluation bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     s, wj = subordination_nodes(t, gl_order)
-    return heat_step_quadrature(n, x[..., None], s, gh_order) @ wj
+    heat = np.empty(x.shape + s.shape)
+    for j in range(0, s.size, _S_BLOCK):
+        heat[..., j:j + _S_BLOCK] = heat_step_quadrature(
+            n, x[..., None], s[j:j + _S_BLOCK], gh_order)
+    return heat @ wj
 
 
 def discrete_poisson_kernel(xs, t: float, gl_order: int, gh_order: int):
@@ -460,6 +483,29 @@ def discrete_poisson_kernel(xs, t: float, gl_order: int, gh_order: int):
     return _mehler_points(xs[..., None], s, gx), wj[:, None] * gw[None, :], s
 
 
+def _suite_integrands(pts, fs, gs, ws, order):
+    """The suite's integrands at the Mehler points pts, in a fixed order.
+
+    f for each f, g for each g, then per weight w, w^{-1}, f^2 w for each
+    f and g^2 w^{-1} for each g.  A generator, so that each array is
+    summed and dropped before the next one is made.
+    """
+    design = hermite_design(order, pts)
+    fvals = [design[..., :f.order + 1] @ f.array for f in fs]
+    gvals = [design[..., :g.order + 1] @ g.array for g in gs]
+    yield from fvals
+    yield from gvals
+    for w in ws:
+        wv = w(pts)
+        wiv = w.inverse()(pts)
+        yield wv
+        yield wiv
+        for fv in fvals:
+            yield fv * fv * wv
+        for gv in gvals:
+            yield gv * gv * wiv
+
+
 def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
                  gh_order: int = QUAD_UNWEIGHTED) -> dict:
     """Worst pointwise margins of the flow inequalities over a grid.
@@ -472,43 +518,49 @@ def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
       d) |P_t g(x)|^2     <= P_t(|g|^2 w^{-1})(x) * P_t(w)(x)
       product) P_t(w)(x) * P_t(w^{-1})(x) >= 1
 
-    The flow quantities in a), d) and product) are all evaluated against
-    one shared discrete kernel per (x, t), so the Cauchy-Schwarz structure
-    behind the inequalities survives discretization exactly; margins can
-    only be negative through rounding.  Returns {"a": m, "c": m, "d": m,
-    "product": m, "b_gap": gap} with m the minimal margin per item
-    (positive = inequality held everywhere) and b_gap the largest
-    coefficient discrepancy in b).
+    What the suite certifies: a), c), d) and product) are Cauchy-Schwarz
+    and triangle inequalities, so they hold for any positive kernel of
+    unit mass; evaluating every flow in a), d) and product) against one
+    shared discrete kernel per (x, t) (the one discrete_poisson_kernel
+    returns) keeps them true at the discrete level, and their margins can
+    only be negative through rounding.  They test the discretization's
+    positivity and the arithmetic, not the accuracy of P_t.  b) is an
+    exact identity between coefficient vectors.
+
+    Summation order: for each x row, each integrand is summed over the
+    Gauss-Hermite axis first, one value per subordination node s_j; the
+    (x, s_j) sums are then contracted with the subordination weights w_j
+    (with w_j e^{-s_j} for the one-form flow of g).  The order is fixed,
+    so the margins do not depend on how the work is blocked.
+
+    Returns {"a": m, "c": m, "d": m, "product": m, "b_gap": gap} with m
+    the minimal margin per item (positive = inequality held everywhere)
+    and b_gap the largest coefficient discrepancy in b).
     """
     xs = np.asarray(x_nodes, dtype=float)
     worst = {"a": math.inf, "c": math.inf, "d": math.inf, "product": math.inf,
              "b_gap": 0.0}
     order = max((h.order for h in (*fs, *gs)), default=0)
+    nf, ng = len(fs), len(gs)
+    per_w = 2 + nf + ng
     gx, gw = gh_rule(gh_order)
     for t in t_nodes:
-        pts, mass, s = discrete_poisson_kernel(xs, t, gl_order, gh_order)
-        pts = pts.reshape(len(xs), -1)
+        s, wj = subordination_nodes(t, gl_order)
+        sums = np.empty((nf + ng + len(ws) * per_w, xs.size, s.size))
+        for i, x in enumerate(xs):
+            pts = _mehler_points(x, s, gx)
+            for q, vals in enumerate(_suite_integrands(pts, fs, gs, ws, order)):
+                sums[q, i] = vals @ gw
+        flows = sums @ wj
         # one-forms flow with the extra factor e^{-s} of the rate shift m -> m+1
-        mass_vec = (mass * np.exp(-s)[:, None]).ravel()
-        mass = mass.ravel()
-        design = hermite_design(order, pts)
-        fvals = [design[..., :f.order + 1] @ f.array for f in fs]
-        gvals = [design[..., :g.order + 1] @ g.array for g in gs]
-        for w in ws:
-            wv = w(pts)
-            wiv = w.inverse()(pts)
-            p_w = wv @ mass
-            p_winv = wiv @ mass
+        p_gvecs = sums[nf:nf + ng] @ (wj * np.exp(-s))
+        for p_w, p_winv, *rest in flows[nf + ng:].reshape(len(ws), per_w, xs.size):
             worst["product"] = min(worst["product"],
                                    float(np.min(p_w * p_winv - 1.0)))
-            for fv in fvals:
-                p_f = fv @ mass
-                p_f2w = (fv * fv * wv) @ mass
+            for p_f, p_f2w in zip(flows[:nf], rest[:nf]):
                 worst["a"] = min(worst["a"],
                                  float(np.min(p_f2w * p_winv - p_f**2)))
-            for gv in gvals:
-                p_gvec = gv @ mass_vec
-                p_g2winv = (gv * gv * wiv) @ mass
+            for p_gvec, p_g2winv in zip(p_gvecs, rest[nf:]):
                 worst["d"] = min(worst["d"],
                                  float(np.min(p_g2winv * p_w - p_gvec**2)))
         # c) single Mehler step: scalar heat of |g| dominates the one-form heat
@@ -571,9 +623,11 @@ class Q2Result:
 
     value includes the analytic t -> infinity limit
     (int w dgamma)(int w^{-1} dgamma); argmax_t is math.inf when the limit
-    dominates every grid node.  min_product is the smallest product seen
-    on the grid (the flow product is never below 1 for a true semigroup,
-    and the discrete kernel inherits that by Cauchy-Schwarz).
+    dominates every grid node.  argmax_x is the non-negative node when its
+    mirror -x ties the maximum within _MIRROR_TIE.  min_product is the
+    smallest product seen on the grid (the flow product is never below 1
+    for a true semigroup, and the discrete kernel inherits that by
+    Cauchy-Schwarz).
     """
 
     value: float
@@ -611,6 +665,12 @@ def q2_characteristic(w: WeightSpec, grid: FlowGrid | None = None) -> Q2Result:
         i = int(np.argmax(prod))
         if prod[i] > best:
             best = float(prod[i])
+            # the x grid is symmetric; report the non-negative node when its
+            # mirror ties the maximum (the product is even in x whenever
+            # w(-x) = 1/w(x), and then differs between x and -x by rounding)
+            mirror = len(xs) - 1 - i
+            if xs[i] < 0 and prod[mirror] >= best * (1.0 - _MIRROR_TIE):
+                i = mirror
             arg = (float(xs[i]), float(t))
         min_product = min(min_product, float(prod.min()))
         below_one += int(np.sum(prod < 1.0 - 1e-10))

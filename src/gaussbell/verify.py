@@ -265,7 +265,9 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
     used_h = np.full(n, np.nan)
     fitted = np.zeros(n, dtype=bool)
     crosses_pi = np.zeros(n, dtype=bool)
-    remaining = np.arange(n)
+    # at Q <= 1 the slab 1 <= rs <= Q has no width: the +-2 e_r stencil
+    # points move rs off 1 to both sides, so no stencil fits at any step
+    remaining = np.arange(n if q > 1.0 else 0)
     for level in range(MAX_HALVINGS + 1):
         if remaining.size == 0:
             break

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -332,6 +333,30 @@ def test_poisson_step_spot_check():
                                            abs=1e-6)
 
 
+@pytest.mark.parametrize("gl", [512, 8192])
+def test_poisson_step_quadrature_blocks_are_exact(gl):
+    """The node-blocked flow equals the whole-array Mehler sum bit for bit."""
+    xs = np.array([-3.0, -1.2, 0.0, 0.7, 2.5])
+    for n in (1, 4, 8):
+        for t in (0.25, 0.7, 4.0):
+            s, wj = subordination_nodes(t, gl)
+            whole = heat_step_quadrature(n, xs[..., None], s, 80) @ wj
+            assert np.array_equal(poisson_step_quadrature(n, xs, t, gl, 80), whole)
+
+
+def test_poisson_step_quadrature_memory_is_blocked():
+    """Peak memory stays far below one (5, 8192, 80) array (26 MB)."""
+    xs = np.array([-3.0, -1.2, 0.0, 0.7, 2.5])
+    poisson_step_quadrature(8, xs, 1.0, 8192, 80)      # warm the rule caches
+    tracemalloc.start()
+    try:
+        poisson_step_quadrature(8, xs, 1.0, 8192, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_poisson_weight_examples():
     assert poisson_weight(WeightSpec.constant(2.5), 1.3, 0.7) == \
         pytest.approx(2.5, rel=1e-14)
@@ -406,6 +431,17 @@ def test_q2_constant_is_one():
     assert res.min_product >= 1.0 - 1e-10
 
 
+def test_q2_argmax_prefers_non_negative_mirror():
+    """w(-x) = 1/w(x) makes the product even in x; every such weight and
+    its reciprocal report the same non-negative arg-max node."""
+    grid = default_flow_grid()
+    specs = ["exp:a=1", "exp:a=-1", "trunc:n=4:exp:a=1", "trunc:n=4:exp:a=-1"]
+    res = [q2_characteristic(WeightSpec.parse(spec), grid) for spec in specs]
+    for a, b in ((res[0], res[1]), (res[2], res[3])):
+        assert a.argmax_x == b.argmax_x >= 0.0
+        assert a.argmax_t == b.argmax_t
+
+
 def test_q2_exp_at_least_limit():
     res = q2_characteristic(WEXP, SMALL_GRID)
     assert res.limit == pytest.approx(math.e, rel=1e-12)
@@ -467,6 +503,46 @@ def test_flow_inequalities_small_grid():
     assert m["d"] >= -1e-8
     assert m["product"] >= -1e-10
     assert m["b_gap"] <= 1e-14
+
+
+def _whole_array_suite(fs, gs, ws, xs, ts, gl_order, gh_order):
+    """Margins a), d) and product of the flow suite, summed over the
+    whole (x, J*K) kernel at once."""
+    worst = {"a": math.inf, "d": math.inf, "product": math.inf}
+    order = max(h.order for h in (*fs, *gs))
+    for t in ts:
+        pts, mass, s = discrete_poisson_kernel(np.asarray(xs), t, gl_order, gh_order)
+        pts = pts.reshape(len(xs), -1)
+        mass_vec = (mass * np.exp(-s)[:, None]).ravel()
+        mass = mass.ravel()
+        design = hermite_design(order, pts)
+        fvals = [design[..., :f.order + 1] @ f.array for f in fs]
+        gvals = [design[..., :g.order + 1] @ g.array for g in gs]
+        for w in ws:
+            wv, wiv = w(pts), w.inverse()(pts)
+            p_w, p_winv = wv @ mass, wiv @ mass
+            worst["product"] = min(worst["product"], np.min(p_w * p_winv - 1.0))
+            for fv in fvals:
+                worst["a"] = min(worst["a"], np.min(
+                    ((fv * fv * wv) @ mass) * p_winv - (fv @ mass) ** 2))
+            for gv in gvals:
+                worst["d"] = min(worst["d"], np.min(
+                    ((gv * gv * wiv) @ mass) * p_w - (gv @ mass_vec) ** 2))
+    return worst
+
+
+def test_flow_suite_matches_whole_array_sum():
+    """Summing per x row (Gauss-Hermite axis, then subordination) changes
+    each margin by rounding only."""
+    fs = [H1, HermiteFunction((0.0, 1.0, 0.0, 1.0))]
+    gs = [OneForm.basis(0), OneForm.basis(2)]
+    ws = [W1, WeightSpec.exp_linear(0.5), truncate_weight(WEXP, 4)]
+    m = flow_inequality_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes,
+                              gl_order=128, gh_order=64)
+    ref = _whole_array_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes,
+                             128, 64)
+    for key, value in ref.items():
+        assert abs(m[key] - value) <= 1e-14, key
 
 
 @pytest.mark.parametrize("spec", ["exp:a=1", "trunc:n=4:exp:a=1"])
