@@ -198,13 +198,14 @@ def b43_branch_batch(x: np.ndarray, q: float) -> np.ndarray:
     return _critical_parameter(zeta, eta2, r, s, aux_raw("K", r, s, q), q)[2]
 
 
-def components_batch(x: np.ndarray, q: float) -> np.ndarray:
-    """Component values B1..B43 for points given as an (n, 5+eta_dim) array.
+def _components(x: np.ndarray, q: float):
+    """B1..B43 as six arrays, and B43's branch, for an (n, 5+eta_dim) array.
 
-    Returns an (n, 6) array with columns ordered as COMPONENT_IDS.  The
-    B43 column uses the critical-parameter closed form; points where both
-    the numerator and denominator of the critical parameter vanish are
-    exactly those with zeta = eta = 0, where B43 = Z + H.
+    One pass: K and the critical parameter serve both the B43 value and
+    its branch.  The B43 value uses the critical-parameter closed form;
+    points where both the numerator and denominator of the critical
+    parameter vanish are exactly those with zeta = eta = 0, where
+    B43 = Z + H.  Column reads are contiguous when x is column-major.
     """
     x = np.asarray(x, dtype=float)
     z, h, zeta, eta2, r, s = _split_columns(x)
@@ -222,11 +223,14 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     d42 = s + nt / q
     _check_denominators(r, s, d2, d3, d41, d42)
 
-    b1 = z - zz / r + h - eta2 / s
-    b2 = z - zz / r + h - eta2 / d2
-    b3 = z - zz / d3 + h - eta2 / s
-    b41 = z - zz / d41 + h - eta2 / s
-    b42 = z - zz / r + h - eta2 / d42
+    zzr = zz / r
+    zrh = z - zzr + h
+    es = eta2 / s
+    b1 = zrh - es
+    b2 = zrh - eta2 / d2
+    b3 = z - zz / d3 + h - es
+    b41 = z - zz / d41 + h - es
+    b42 = zrh - eta2 / d42
 
     num, den, branch = _critical_parameter(zeta, eta2, r, s, k, q)
     finite = branch == 0
@@ -235,18 +239,30 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
         dz43 = r + am * k / q
         dn43 = s + k / (q * am)
         _check_denominators(dz43[finite], dn43[finite])
-        b43_fin = z - zz / dz43 + h - eta2 / dn43
-    b43_inf = z + h - eta2 / s
-    b43_zero = z + h - zz / r
-    b43 = np.choose(branch, [b43_fin, b43_inf, b43_zero, z + h])
-    return np.column_stack([b1, b2, b3, b41, b42, b43])
+        b43 = z - zz / dz43 + h - eta2 / dn43
+    zh = z + h
+    # the other branches: a_m infinite, a_m zero, and zeta = eta = 0
+    for other, value in ((1, zh - es), (2, zh - zzr), (3, zh)):
+        np.copyto(b43, value, where=branch == other)
+    return (b1, b2, b3, b41, b42, b43), branch
+
+
+def _weighted_sum(b1, b2, b3, b41, b42, b43):
+    """C1*B1 + C2*B2 + C3*B3 + C4*(B41+B42+B43) of six component arrays."""
+    return C1 * b1 + C2 * b2 + C3 * b3 + C4 * (b41 + b42 + b43)
+
+
+def components_batch(x: np.ndarray, q: float) -> np.ndarray:
+    """Component values B1..B43 for points given as an (n, 5+eta_dim) array.
+
+    Returns an (n, 6) array with columns ordered as COMPONENT_IDS.
+    """
+    return np.column_stack(_components(x, q)[0])
 
 
 def bq_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Weighted sum C1*B1 + C2*B2 + C3*B3 + C4*(B41+B42+B43), batched."""
-    c = components_batch(x, q)
-    return (C1 * c[:, 0] + C2 * c[:, 1] + C3 * c[:, 2]
-            + C4 * (c[:, 3] + c[:, 4] + c[:, 5]))
+    return _weighted_sum(*_components(x, q)[0])
 
 
 def unweighted_batch(x: np.ndarray, q: float) -> np.ndarray:

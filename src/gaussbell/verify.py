@@ -42,12 +42,11 @@ from .bellman import (
     _split_columns,
     aux_raw,
     aux_size_bound,
-    b43_branch_batch,
-    bq_batch,
     beta_values,
+    bq_batch,
+    components_batch,
     pi_distance_batch,
     radial_batch,
-    unweighted_batch,
 )
 from .report import CheckResult, Measurement, VerificationReport
 
@@ -254,13 +253,15 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
     where B_Q is not twice differentiable); otherwise the step is halved,
     up to MAX_HALVINGS times.  Halvings stop early once the step falls
     under STEP_NOISE_FLOOR, where float64 cancellation noise would exceed
-    the concavity tolerance.  Returns (hessians, used_h, fitted,
+    the concavity tolerance.  Each level evaluates B_Q and the branch of
+    its in-domain stencil points in one pass.  Returns (hessians, used_h, fitted,
     crosses_pi); crosses_pi marks the unfitted rows whose last stencil lay
     in D_Q but spanned two branches.
     """
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
     offsets, _, _ = _stencil_template(dim - 2)
+    k = len(offsets)
     hess = np.full((n, dim, dim), np.nan)
     used_h = np.full(n, np.nan)
     fitted = np.zeros(n, dtype=bool)
@@ -276,17 +277,23 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
             break
         xr = x[remaining]
         steps = hcur * np.maximum(1.0, np.abs(xr[:, 2:]))     # (m, dim - 2)
-        pts = np.repeat(xr[:, None, :], len(offsets), axis=1)
-        pts[:, :, 2:] += steps[:, None, :] * offsets[None, :, :]
-        ok = in_domain_batch(pts.reshape(-1, dim), q).reshape(len(remaining), -1).all(axis=1)
-        branch = b43_branch_batch(pts[ok].reshape(-1, dim), q).reshape(ok.sum(), len(offsets))
+        # column-major stencil (coordinate, row, stencil point), so that
+        # every coordinate column of the flattened points is contiguous
+        pts = np.empty((dim, remaining.size, k))
+        pts[:2] = xr.T[:2, :, None]
+        np.multiply(steps.T[:, :, None], offsets.T[:, None, :], out=pts[2:])
+        pts[2:] += xr.T[2:, :, None]
+        ok = in_domain_batch(pts.reshape(dim, -1).T, q).reshape(-1, k).all(axis=1)
+        # compress keeps the selection C-ordered, so the reshape is a view
+        comps, branch = bellman._components(pts.compress(ok, axis=1).reshape(dim, -1).T, q)
+        straddles = (branch.reshape(-1, k) != branch[::k, None]).any(axis=1)
         crossing = np.zeros_like(ok)
-        crossing[ok] = (branch != branch[:, :1]).any(axis=1)
+        crossing[ok] = straddles
         crosses_pi[remaining] = crossing
         ok &= ~crossing
         if ok.any():
             idx = remaining[ok]
-            fvals = bq_batch(pts[ok].reshape(-1, dim), q).reshape(ok.sum(), -1)
+            fvals = bellman._weighted_sum(*comps).reshape(-1, k)[~straddles]
             block = np.zeros((idx.size, dim, dim))
             block[:, 2:, 2:] = _assemble_hessians(fvals, steps[ok], dim - 2)
             hess[idx] = block
@@ -309,14 +316,24 @@ def hessian_margins(hess: np.ndarray, directions: np.ndarray, q: float,
                     eta_dim: int):
     """Concavity slack min over directions of dX^T(-H)dX - (4/Q)|dzeta||deta|.
 
-    Also returns the minimal ratio form/rhs over directions with rhs > 0
-    (the empirically observed concavity constant relative to 4/Q).
+    Only the (zeta, eta, r, s) block of H enters: its Z and H rows and
+    columns are exact zeros, so the forms are one matmul of the flattened
+    block against the flattened outer products of the directions' block
+    parts.  Directions without a block part (+-e_Z, +-e_H) have form 0 and
+    are left out of the minimum.  Also returns the minimal ratio form/rhs
+    over directions with rhs > 0 (the empirically observed concavity
+    constant relative to 4/Q).
     """
-    forms = -np.einsum("nij,ki,kj->nk", hess, directions, directions)
-    dzeta = np.abs(directions[:, 2])
-    deta = np.linalg.norm(directions[:, 3:3 + eta_dim], axis=1)
+    d = directions[:, 2:]
+    d = d[(d != 0).any(axis=1)]
+    nb = d.shape[1]
+    outer = (d[:, :, None] * d[:, None, :]).reshape(-1, nb * nb)
+    forms = -(hess[:, 2:, 2:].reshape(-1, nb * nb) @ outer.T)
+    dzeta = np.abs(d[:, 0])
+    deta = np.linalg.norm(d[:, 1:1 + eta_dim], axis=1)
     rhs = (4.0 / q) * dzeta * deta
-    # + 0.0: the flat Z/H directions give -0.0, which should read as 0.0
+    # + 0.0: a block curvature below the stencil's float64 resolution
+    # differences to exactly zero, and its form -0.0 should read as 0.0
     margins = (forms - rhs[None, :]).min(axis=1) + 0.0
     pos = rhs > 1e-12
     if pos.any():
@@ -391,15 +408,17 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
                   directions: np.ndarray) -> dict:
     """Size, sign and Hessian verdicts for every row of x.
 
-    Margins are pre-tolerance slacks normalized by 1 + |B_Q| (size by
-    1 + Z + H), +inf where the check was skipped; the *_fail arrays apply
-    the documented tolerances.  Rows near Pi get no Hessian; the others
+    b (B_Q) and unweighted (the plain sum B1 + ... + B43) come from one
+    component evaluation.  Margins are pre-tolerance slacks normalized by
+    1 + |B_Q| (size by 1 + Z + H), +inf where the check was skipped; the
+    *_fail arrays apply the documented tolerances.  Rows near Pi get no Hessian; the others
     are differenced HESSIAN_CHUNK rows at a time, and a row is skipped as
     stencil_unfit or stencil_crosses_pi when no step above the noise
     floor keeps its stencil in D_Q or on one B43 branch.
     """
     n = x.shape[0]
-    b = bq_batch(x, q)
+    comps = components_batch(x, q)
+    b = bellman._weighted_sum(*comps.T)
     zh = x[:, 0] + x[:, 1]
     scale_b = 1.0 + np.abs(b)
 
@@ -423,6 +442,7 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
             ratios[sub] = ratios_sub
     return {
         "b": b,
+        "unweighted": comps.sum(axis=1),
         "size_margin": np.minimum(b, bellman.SIZE_CONSTANT * zh - b) / (1.0 + zh),
         "size_fail": ((b < -SIZE_TOL * (1.0 + zh))
                       | (b > bellman.SIZE_CONSTANT * zh * (1.0 + SIZE_TOL) + SIZE_TOL)),
@@ -645,7 +665,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
         location=_location(x[int(np.argmax(ratio))])))
 
     # unweighted six-bound (recorded, not asserted)
-    us = unweighted_batch(x, q)
+    us = v["unweighted"]
     um = np.minimum(us, 6.0 * zh - us) / (1.0 + zh)
     iu = int(np.argmin(um))
     measurements.append(Measurement(

@@ -10,15 +10,19 @@ from gaussbell.bellman import (
     b43_branch_batch,
     bq_batch,
     pi_distance_batch,
+    unweighted_batch,
+    _components,
 )
 from gaussbell.report import VerificationReport
 from gaussbell.verify import (
     AUX_HESSIAN_TOL,
     AUX_SIZE_TOL,
+    HESSIAN_TOL,
     SuiteConfig,
     aux_margins_batch,
     fd_hessian_batch,
     hessian_directions,
+    hessian_margins,
     in_domain_batch,
     mollify_eval,
     run_suite,
@@ -155,6 +159,72 @@ def test_fd_hessian_stencil_stays_on_one_b43_branch():
     assert np.isfinite(v["hessian_margin"][0]) and v["hessian_margin"][1] == np.inf
 
 
+@pytest.mark.parametrize("eta_dim", [1, 3])
+@pytest.mark.parametrize("q", [2.0, 10.0, 100.0])
+def test_fd_hessian_one_pass_is_exact(q, eta_dim):
+    """The column-major one-pass stencil gives the Hessians of a row-major
+    stencil evaluated through bq_batch, bit for bit, and its B43 branch is
+    b43_branch_batch's."""
+    h = 1e-4
+    x = sample_columns(q, eta_dim, 300, _rng(31))
+    hess, used_h, fitted, _ = fd_hessian_batch(x, q, h)
+    rows = np.flatnonzero(fitted & (used_h == h))     # fitted at level 0
+    assert rows.size > 250
+    xr = x[rows]
+    offsets, diag_idx, cross_idx = _stencil_template(xr.shape[1] - 2)
+    steps = h * np.maximum(1.0, np.abs(xr[:, 2:]))
+    pts = np.repeat(xr[:, None, :], len(offsets), axis=1)
+    pts[:, :, 2:] += steps[:, None, :] * offsets[None, :, :]
+    pts = pts.reshape(-1, xr.shape[1])
+    f = bq_batch(pts, q).reshape(rows.size, -1)
+    ref = np.zeros_like(hess[rows])
+    for i, (ip, im) in diag_idx.items():
+        ref[:, 2 + i, 2 + i] = (f[:, ip] - 2 * f[:, 0] + f[:, im]) / (4 * steps[:, i] ** 2)
+    for (i, j), (pp, pm, mp, mm) in cross_idx.items():
+        ref[:, 2 + i, 2 + j] = ref[:, 2 + j, 2 + i] = (
+            (f[:, pp] - f[:, pm] - f[:, mp] + f[:, mm]) / (4 * steps[:, i] * steps[:, j]))
+    assert np.array_equal(hess[rows], ref)
+    comps, branch = _components(pts, q)
+    assert np.array_equal(branch, b43_branch_batch(pts, q))
+    assert np.array_equal(np.column_stack(comps).sum(axis=1), unweighted_batch(pts, q))
+
+
+@pytest.mark.parametrize("eta_dim", [1, 3])
+def test_hessian_margins_block_gemm_matches_full_einsum(eta_dim):
+    """The block matmul agrees with the 6x6 einsum over the full Hessian.
+
+    The reference takes its minimum over the directions with a nonzero
+    (zeta, eta, r, s) part: on +-e_Z and +-e_H every form is exactly 0, so
+    a minimum over all directions is never above 0 and says nothing about
+    the block.  Both sides are compared to 1e-12 of the row's absolute
+    form sum dX^T|H||dX| (ratios: of that sum over the rhs), the scale of
+    their rounding.
+    """
+    q = 2.0
+    x = sample_columns(q, eta_dim, 400, _rng(41))
+    hess, _, fitted, _ = fd_hessian_batch(x, q, 1e-4)
+    hess = hess[fitted]
+    d = hessian_directions(x.shape[1], 64, _rng(43))
+    margins, ratios = hessian_margins(hess, d, q, eta_dim)
+
+    forms = -np.einsum("nij,ki,kj->nk", hess, d, d)
+    scale = np.einsum("nij,ki,kj->nk", np.abs(hess), np.abs(d), np.abs(d))
+    rhs = (4.0 / q) * np.abs(d[:, 2]) * np.linalg.norm(d[:, 3:3 + eta_dim], axis=1)
+    assert np.all((forms - rhs).min(axis=1) <= 0.0)
+    block = np.any(d[:, 2:] != 0, axis=1)
+    assert block.sum() == d.shape[0] - 4
+    ref_margins = (forms - rhs)[:, block].min(axis=1)
+    assert np.all(np.abs(margins - ref_margins) <= 1e-12 * scale.max(axis=1))
+    pos = rhs > 1e-12
+    ref_ratios = (forms[:, pos] / rhs[pos]).min(axis=1)
+    assert np.all(np.abs(ratios - ref_ratios)
+                  <= 1e-12 * (scale[:, pos] / rhs[pos]).max(axis=1))
+    scale_b = 1.0 + np.abs(bq_batch(x[fitted], q))
+    assert np.array_equal(margins / scale_b < -HESSIAN_TOL,
+                          ref_margins / scale_b < -HESSIAN_TOL)
+    assert np.all(margins > 0.0)      # the block minimum, not the flat 0.0
+
+
 def test_fd_hessian_richardson_consistency():
     x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
     h1, _, fit1, _ = fd_hessian_batch(x, 2.0, 1e-3)
@@ -241,8 +311,11 @@ def test_verify_point_excludes_near_pi():
 
 def test_verify_point_passes_generic_sample():
     cfg = SuiteConfig(q_list=(2.0,), samples_per_q=1, seed=0)
-    v = _row_verdicts(sample_columns(2.0, 1, 25, _rng(8)), 2.0, cfg,
-                      _directions(Q2, cfg))
+    x = sample_columns(2.0, 1, 25, _rng(8))
+    v = _row_verdicts(x, 2.0, cfg, _directions(Q2, cfg))
+    # one component evaluation serves B_Q and the plain six-bound sum
+    assert np.array_equal(v["b"], bq_batch(x, 2.0))
+    assert np.array_equal(v["unweighted"], unweighted_batch(x, 2.0))
     assert not v["size_fail"].any()
     assert not v["sign_fail"].any()
     assert not v["hessian_fail"].any()
