@@ -5,8 +5,6 @@ __version__ = "0.1.0"
 
 from .bellman import (
     AUX_KINDS,
-    BellmanPoint,
-    COMPONENT_IDS,
     DomainError,
     QContext,
 )
@@ -46,8 +44,6 @@ from .verify import (
 
 __all__ = [
     "AUX_KINDS",
-    "BellmanPoint",
-    "COMPONENT_IDS",
     "CheckResult",
     "DomainError",
     "EmbeddingResult",

@@ -29,15 +29,12 @@ C2 = math.sqrt(2.0) / 3.0
 C3 = math.sqrt(2.0) / 3.0
 C4 = 288.0 / 13.0
 
-#: Effective size constant of the weighted sum: each component is at most
-#: 2(Z+H), so B_Q <= (C1+C2+C3+3*C4)(Z+H) ~= 68.41 (Z+H).  The contract
-#: checked downstream uses the coarser 80(Z+H).
+#: Size constant of the contract checked downstream: each component is at
+#: most 2(Z+H), so B_Q <= (C1+C2+C3+3*C4)(Z+H) ~= 68.41 (Z+H), and the
+#: contract uses the coarser 80(Z+H).
 SIZE_CONSTANT = 80.0
-EFFECTIVE_SIZE_CONSTANT = C1 + C2 + C3 + 3 * C4
 
 AUX_KINDS = ("M", "N", "K", "Mtilde", "Ntilde")
-
-COMPONENT_IDS = ("B1", "B2", "B3", "B41", "B42", "B43")
 
 
 class DomainError(ValueError):
@@ -61,53 +58,6 @@ class QContext:
     def dim(self) -> int:
         """Number of coordinates of a domain point: (Z, H, zeta, eta..., r, s)."""
         return 5 + self.eta_dim
-
-
-@dataclass(frozen=True)
-class BellmanPoint:
-    """A point (Z, H, zeta, eta, r, s) of D_Q.  eta is a tuple of floats."""
-
-    z: float
-    h: float
-    zeta: float
-    eta: tuple
-    r: float
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eta", tuple(float(v) for v in np.atleast_1d(self.eta)))
-
-    def validate(self, ctx: QContext) -> None:
-        """Exact membership check (tolerance zero on every inequality)."""
-        if len(self.eta) != ctx.eta_dim:
-            raise DomainError(f"eta has length {len(self.eta)}, expected {ctx.eta_dim}")
-        if self.z < 0 or self.h < 0:
-            raise DomainError("Z and H must be nonnegative")
-        if not (self.r > 0 and self.s > 0):
-            raise DomainError("r and s must be strictly positive")
-        if not (1.0 <= self.r * self.s <= ctx.q):
-            raise DomainError(f"r*s = {self.r * self.s} outside [1, {ctx.q}]")
-        if self.zeta**2 > self.z * self.r:
-            raise DomainError("zeta^2 <= Z*r violated")
-        if self.eta2 > self.h * self.s:
-            raise DomainError("<eta,eta> <= H*s violated")
-
-    @property
-    def eta2(self) -> float:
-        return float(sum(v * v for v in self.eta))
-
-    @property
-    def nu(self) -> float:
-        return math.sqrt(self.eta2)
-
-    def as_array(self) -> np.ndarray:
-        """Coordinates in the (Z, H, zeta, eta..., r, s) layout used internally."""
-        return np.array([self.z, self.h, self.zeta, *self.eta, self.r, self.s])
-
-    @classmethod
-    def from_array(cls, x: np.ndarray) -> "BellmanPoint":
-        x = np.asarray(x, dtype=float)
-        return cls(x[0], x[1], x[2], tuple(x[3:-2]), x[-2], x[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +205,7 @@ def _weighted_sum(b1, b2, b3, b41, b42, b43):
 def components_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Component values B1..B43 for points given as an (n, 5+eta_dim) array.
 
-    Returns an (n, 6) array with columns ordered as COMPONENT_IDS.
+    Returns an (n, 6) array with columns B1, B2, B3, B41, B42, B43.
     """
     return np.column_stack(_components(x, q)[0])
 
@@ -263,11 +213,6 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
 def bq_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Weighted sum C1*B1 + C2*B2 + C3*B3 + C4*(B41+B42+B43), batched."""
     return _weighted_sum(*_components(x, q)[0])
-
-
-def unweighted_batch(x: np.ndarray, q: float) -> np.ndarray:
-    """Diagnostic plain sum B1+B2+B3+B41+B42+B43 (bounded by 6(Z+H))."""
-    return components_batch(x, q).sum(axis=1)
 
 
 def radial_batch(z, h, za, nu, r, s, q: float) -> np.ndarray:

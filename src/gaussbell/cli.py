@@ -28,8 +28,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from .bellman import DomainError, QContext
 from .estimates import (
@@ -42,12 +40,13 @@ from .estimates import (
     weighted_riesz_norm,
 )
 from .gauss import (
-    FlowGrid,
+    FLOW_GRID_DEFAULTS,
     HermiteFunction,
     ModelError,
     OneForm,
     QuadratureError,
     WeightSpec,
+    flow_grid,
     q2_characteristic,
 )
 from .report import CheckResult, Measurement, VerificationReport
@@ -105,8 +104,7 @@ DEFAULTS = {
     "verify-bellman": _SUITE_DEFAULTS,
     "aux-bounds": {"q": _SUITE_DEFAULTS["q"], "grid_n": 200,
                    "fd_step": _SUITE_DEFAULTS["fd_step"]},
-    "a2": {"weight": "exp:a=1", "x_max": 8.0, "x_step": 0.25, "t_min": 1e-3,
-           "t_max": 32.0, "t_nodes": 40},
+    "a2": {"weight": "exp:a=1", **FLOW_GRID_DEFAULTS},
     "riesz-norm": {"weight": "const:c=1", "n": 32},
     "embedding": {"f": "h1", "g": "h0", "weight": "const:c=1"},
     "repr-check": {"n": "1,2,4,9"},
@@ -211,7 +209,7 @@ def _report(cfg: dict, checks, measurements) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
-    report = run_suite(_suite_config(cfg), tool_version=__version__)
+    report = run_suite(_suite_config(cfg))
     return _report(cfg, report.checks, report.measurements)
 
 
@@ -228,12 +226,7 @@ def _cmd_a2(cfg: dict) -> VerificationReport:
             and all(0 < cfg[k] < math.inf for k in ("x_step", "t_min", "t_max"))):
         raise UsageError("a2 needs a finite x_max, finite x_step, t_min and t_max > 0, "
                          "and t_nodes >= 1")
-    try:
-        xs = np.arange(-cfg["x_max"], cfg["x_max"] + 1e-9, cfg["x_step"])
-    except ValueError as exc:       # more x nodes than an array can hold
-        raise UsageError(str(exc)) from exc
-    ts = np.logspace(math.log10(cfg["t_min"]), math.log10(cfg["t_max"]), cfg["t_nodes"])
-    res = q2_characteristic(w, FlowGrid(tuple(xs), tuple(ts)))
+    res = q2_characteristic(w, flow_grid(**{k: cfg[k] for k in FLOW_GRID_DEFAULTS}))
     argt = "inf" if math.isinf(res.argmax_t) else res.argmax_t
     checks = [CheckResult(
         name="flow_product_ge_1", count=res.node_count,

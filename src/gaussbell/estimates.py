@@ -140,11 +140,10 @@ def bilinear_lhs(f: HermiteFunction, g: OneForm, w: WeightSpec,
         raise EstimateError("f must have zero constant coefficient "
                             "(range of the generator)")
     grid = default_flow_grid() if grid is None else grid
-    order = default_quad_order(w)
-    xg, wg = gh_rule(order)
+    xg, wg = gh_rule(default_quad_order(w))
     q2 = q2_characteristic(w, grid).value if q2_value is None else q2_value
-    f_norm = math.sqrt(max(weighted_inner(f, f, w, order), 0.0))
-    g_norm = math.sqrt(max(weighted_inner(g, g, w.inverse(), order), 0.0))
+    f_norm = math.sqrt(max(weighted_inner(f, f, w), 0.0))
+    g_norm = math.sqrt(max(weighted_inner(g, g, w.inverse()), 0.0))
     if not f.array.any() or not g.array.any():
         return EmbeddingResult(0.0, 0.0, 0.0, 0.0, 0.0, q2, f_norm, g_norm)
 
@@ -177,16 +176,21 @@ def weighted_riesz_norm(w: WeightSpec, n_dim: int,
     both scaled by sqrt(quadrature weight * w).  With D1 = QR it is the
     largest singular value of R^{-T} D0^T.  Working on the design instead of
     the Gram matrices' eigenproblem B v = lambda A v keeps the condition
-    number unsquared (Van Loan 1976).  N must stay below the node count
-    (hhat_N vanishes at every node when N equals it), and the Gram matrix
-    A = D1^T D1 must pass a Cholesky test.
+    number unsquared (Van Loan 1976).
+
+    With K nodes, N must stay below K for a constant weight (hhat_N
+    vanishes at every node when N equals K), and at most K/2 otherwise:
+    then every Gram integrand hhat_m hhat_n times the degree-(K-1) Taylor
+    polynomial of the weight stays within the rule's exact degree 2K-1.
+    The Gram matrix A = D1^T D1 must also pass a Cholesky test.
     """
     if n_dim < 2:
         raise EstimateError("subspace dimension must be >= 2")
     xg, wg = gh_rule(default_quad_order(w))
-    if n_dim >= len(xg):
-        raise EstimateError(f"subspace dimension must be below the quadrature "
-                            f"order {len(xg)}")
+    n_max = len(xg) - 1 if w.kind == "const" else len(xg) // 2
+    if n_dim > n_max:
+        raise EstimateError(f"subspace dimension must be at most {n_max} for this "
+                            f"weight on {len(xg)} quadrature nodes")
     design = hermite_design(n_dim, xg)                      # (X, N+1)
     weight = wg * w(xg)
     gram = design.T @ (design * weight[:, None])            # (N+1, N+1)
@@ -207,7 +211,7 @@ def weighted_riesz_norm(w: WeightSpec, n_dim: int,
     return NormResult(norm, q2_value, norm / (80.0 * q2_value), n_dim)
 
 
-def representation_check(n: int, t_max: float = 20.0) -> dict:
+def representation_check(n: int) -> dict:
     """Pairing <R hhat_n, hhat_{n-1} dx> against the space-time flow integral.
 
     lhs is the direct inner product; rhs is 4 int <d P_t f, d/dt P_t g> t dt
@@ -220,11 +224,12 @@ def representation_check(n: int, t_max: float = 20.0) -> dict:
     g = OneForm.basis(n - 1)
     lhs = weighted_inner(riesz_apply(f), g, WeightSpec.constant(1.0))
 
+    t_max = 20.0
     ts, tw = _composite_gauss_legendre(t_max)
     eig_g = np.sqrt(generator_eigenvalues(g))
 
     def integrand(t):
-        df = exterior_derivative(semigroup_apply(f, t, "poisson")).array
+        df = exterior_derivative(semigroup_apply(f, t)).array
         dt_g = -eig_g * np.exp(-eig_g * t) * g.array
         m = min(len(df), len(dt_g))
         return float(np.dot(df[:m], dt_g[:m]))
@@ -249,9 +254,8 @@ def _family_weight(family: str, param: float) -> WeightSpec:
 
 
 def sweep_report(family: str, params, n_dim: int = 32,
-                 grid: FlowGrid | None = None,
-                 ladder=TRUNCATION_LADDER) -> list:
-    """Weight-family sweep: q2, weighted norm, and the truncation ladder.
+                 grid: FlowGrid | None = None) -> list:
+    """Weight-family sweep: q2, weighted norm, and the TRUNCATION_LADDER levels.
 
     Emits one row per (param, ladder level) with the columns of
     CSV_HEADER.  The asserted properties (bound_ratio <= 1, nondecreasing
@@ -266,7 +270,7 @@ def sweep_report(family: str, params, n_dim: int = 32,
         w = _family_weight(family, p)
         q2 = q2_characteristic(w, grid).value
         res = weighted_riesz_norm(w, n_dim, grid=grid, q2_value=q2)
-        for level in ladder:
+        for level in TRUNCATION_LADDER:
             q2t = q2_characteristic(truncate_weight(w, level), grid).value
             rows.append({"param": p, "q2_lower": q2, "weighted_norm":
                          res.weighted_norm, "bound_ratio": res.bound_ratio,

@@ -35,8 +35,10 @@ import numpy as np
 QUAD_UNWEIGHTED = 80
 #: Gauss-Hermite order for exponential / truncated weights
 QUAD_WEIGHTED = 160
-#: default node count of the subordination rule
+#: node count of the subordination rule
 SUBORDINATION_ORDER = 512
+#: subordination nodes of flow_inequality_suite's shared kernels
+FLOW_SUITE_ORDER = 256
 #: largest admissible |a| in exponential-linear weights
 EXP_A_MAX = 2.0
 
@@ -110,30 +112,24 @@ def subordination_nodes(t: float, gl_order: int):
 # Hermite basis
 # ---------------------------------------------------------------------------
 
-def hermite_eval(n: int, x, orthonormal: bool = False):
-    """Probabilists' Hermite h_n(x) by the three-term recurrence.
+def hermite_eval(n: int, x):
+    """Orthonormal Hermite hhat_n(x) = h_n(x)/sqrt(n!).
 
-    With orthonormal=True returns h_n(x)/sqrt(n!), evaluated by the
-    normalized recurrence for stability at large n and |x|.
+    Uses the normalized three-term recurrence, which stays stable at
+    large n and |x|.
     """
     if n < 0:
         raise ModelError("n must be >= 0")
     x = np.asarray(x, dtype=float)
-    if orthonormal:
-        # in place, three buffers: the validation quadratures call this on
-        # blocks of Mehler points, so no step allocates a fresh array
-        prev, curr, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-        for k in range(n):
-            np.multiply(x, curr, out=nxt)
-            np.multiply(prev, math.sqrt(k), out=prev)
-            nxt -= prev
-            nxt /= math.sqrt(k + 1)
-            prev, curr, nxt = curr, nxt, prev
-        return curr if x.ndim else float(curr)
-    prev = np.zeros_like(x)
-    curr = np.ones_like(x)
+    # in place, three buffers: the validation quadratures call this on
+    # blocks of Mehler points, so no step allocates a fresh array
+    prev, curr, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     for k in range(n):
-        prev, curr = curr, x * curr - k * prev
+        np.multiply(x, curr, out=nxt)
+        np.multiply(prev, math.sqrt(k), out=prev)
+        nxt -= prev
+        nxt /= math.sqrt(k + 1)
+        prev, curr, nxt = curr, nxt, prev
     return curr if x.ndim else float(curr)
 
 
@@ -158,16 +154,16 @@ class HermiteFunction:
 
     def __post_init__(self):
         c = tuple(float(v) for v in np.atleast_1d(self.coeffs))
+        if not c:
+            raise ModelError("a Hermite expansion needs at least one coefficient")
         if not all(math.isfinite(v) for v in c):
             raise ModelError("coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def basis(cls, n: int, size: int | None = None) -> "HermiteFunction":
-        size = (n + 1) if size is None else size
-        c = [0.0] * size
-        c[n] = 1.0
-        return cls(tuple(c))
+    def basis(cls, n: int) -> "HermiteFunction":
+        """hhat_n (or hhat_n dx for a OneForm), with n + 1 coefficients."""
+        return cls((0.0,) * n + (1.0,))
 
     @property
     def array(self) -> np.ndarray:
@@ -180,19 +176,13 @@ class HermiteFunction:
     def eval(self, x):
         return hermite_design(self.order, x) @ self.array
 
-    def norm(self) -> float:
-        """L^2(gamma) norm; Parseval is exact in this representation."""
-        return float(np.linalg.norm(self.array))
-
-    def scaled(self, lam: float) -> "HermiteFunction":
-        return type(self)(tuple(lam * v for v in self.coeffs))
-
 
 class OneForm(HermiteFunction):
     """A one-form (sum_m b_m hhat_m) dx; eval gives the dx-component at x.
 
-    It stores its coefficients like a function; only the semigroups, on
-    which slot m has rate m+1, and weighted_inner tell the two apart.
+    It stores its coefficients like a function; only the semigroup, under
+    which slot m has the eigenvalue m+1 of -L, and weighted_inner tell the
+    two apart.
     """
 
 
@@ -227,23 +217,15 @@ def generator_eigenvalues(obj) -> np.ndarray:
     return np.arange(len(obj.coeffs)) + isinstance(obj, OneForm)
 
 
-def semigroup_apply(obj, t: float, mode: str):
-    """Diagonal semigroup action on coefficients.
+def semigroup_apply(obj: HermiteFunction, t: float):
+    """Poisson semigroup, diagonal on coefficients.
 
-    heat: c_n -> e^{-nt} c_n; poisson: c_n -> e^{-t sqrt(n)} c_n;
-    poisson_oneform: b_m -> e^{-t sqrt(m+1)} b_m.
+    c_n -> e^{-t sqrt(n)} c_n on functions and b_m -> e^{-t sqrt(m+1)} b_m
+    on one-forms: the rates are the square roots of generator_eigenvalues.
     """
     if t < 0:
         raise ModelError("t must be >= 0")
-    if mode not in ("heat", "poisson", "poisson_oneform"):
-        raise ModelError(f"unknown mode {mode!r}")
-    oneform = mode == "poisson_oneform"
-    if not isinstance(obj, HermiteFunction) or isinstance(obj, OneForm) != oneform:
-        kind = "a OneForm" if oneform else "a HermiteFunction"
-        raise ModelError(f"{mode} mode expects {kind}")
-    rate = generator_eigenvalues(obj)
-    if mode != "heat":
-        rate = np.sqrt(rate)
+    rate = np.sqrt(generator_eigenvalues(obj))
     return type(obj)(tuple(obj.array * np.exp(-rate * t)))
 
 
@@ -291,10 +273,6 @@ class WeightSpec:
     def exp_linear(cls, a: float) -> "WeightSpec":
         return cls("exp", float(a))
 
-    @classmethod
-    def truncated(cls, inner: "WeightSpec", n: int) -> "WeightSpec":
-        return cls("trunc", float(n), inner)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "const":
@@ -309,7 +287,7 @@ class WeightSpec:
             return WeightSpec.constant(1.0 / self.param)
         if self.kind == "exp":
             return WeightSpec.exp_linear(-self.param)
-        return WeightSpec.truncated(self.inner.inverse(), int(self.param))
+        return truncate_weight(self.inner.inverse(), int(self.param))
 
     def to_string(self) -> str:
         if self.kind == "const":
@@ -331,7 +309,7 @@ class WeightSpec:
                 head, sep, inner = text[len("trunc:n="):].partition(":")
                 if not sep:
                     raise ModelError(f"truncation needs an inner weight: {text!r}")
-                return cls.truncated(cls.parse(inner), int(head))
+                return truncate_weight(cls.parse(inner), int(head))
         except ModelError:
             raise
         except ValueError as exc:       # a malformed number
@@ -341,23 +319,23 @@ class WeightSpec:
 
 def truncate_weight(w: WeightSpec, n: int) -> WeightSpec:
     """Two-sided truncation clamping w to [1/n, n]."""
-    return WeightSpec.truncated(w, n)
+    return WeightSpec("trunc", float(n), w)
 
 
 def default_quad_order(w: WeightSpec) -> int:
     return QUAD_UNWEIGHTED if w.kind == "const" else QUAD_WEIGHTED
 
 
-def weighted_inner(u, v, w: WeightSpec, quad_order: int | None = None) -> float:
-    """Gauss-Hermite approximation of int u v w dgamma.
+def weighted_inner(u, v, w: WeightSpec) -> float:
+    """Gauss-Hermite approximation of int u v w dgamma on default_quad_order(w) nodes.
 
-    Exact up to rounding when u*v*w is a polynomial of degree below
-    2*quad_order (constant weights).  u and v must be both functions or
+    Exact up to rounding when u*v*w is a polynomial of degree below twice
+    the node count (constant weights).  u and v must be both functions or
     both one-forms.
     """
     if isinstance(u, OneForm) != isinstance(v, OneForm):
         raise ModelError("weighted_inner needs two functions or two one-forms")
-    x, wt = gh_rule(default_quad_order(w) if quad_order is None else quad_order)
+    x, wt = gh_rule(default_quad_order(w))
     vals = u.eval(x) * v.eval(x) * w(x)
     out = float(np.dot(wt, vals))
     if not math.isfinite(out):
@@ -448,7 +426,7 @@ def heat_step_quadrature(n: int, x, s, quad_order: int) -> np.ndarray:
     """
     gx, gw = gh_rule(quad_order)
     pts = _mehler_points(np.asarray(x, dtype=float), np.asarray(s, dtype=float), gx)
-    return hermite_eval(n, pts, orthonormal=True) @ gw
+    return hermite_eval(n, pts) @ gw
 
 
 def poisson_step_quadrature(n: int, x, t: float, gl_order: int,
@@ -506,9 +484,11 @@ def _suite_integrands(pts, fs, gs, ws, order):
             yield gv * gv * wiv
 
 
-def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
-                 gh_order: int = QUAD_UNWEIGHTED) -> dict:
+def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes) -> dict:
     """Worst pointwise margins of the flow inequalities over a grid.
+
+    Each P_t is FLOW_SUITE_ORDER subordination nodes times QUAD_UNWEIGHTED
+    Gauss-Hermite nodes.
 
     Checked, for every grid node (x, t), every f in fs, g in gs, w in ws:
 
@@ -543,9 +523,9 @@ def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
     order = max((h.order for h in (*fs, *gs)), default=0)
     nf, ng = len(fs), len(gs)
     per_w = 2 + nf + ng
-    gx, gw = gh_rule(gh_order)
+    gx, gw = gh_rule(QUAD_UNWEIGHTED)
     for t in t_nodes:
-        s, wj = subordination_nodes(t, gl_order)
+        s, wj = subordination_nodes(t, FLOW_SUITE_ORDER)
         sums = np.empty((nf + ng + len(ws) * per_w, xs.size, s.size))
         for i, x in enumerate(xs):
             pts = _mehler_points(x, s, gx)
@@ -572,9 +552,8 @@ def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
             worst["c"] = min(worst["c"], float(np.min(rhs - lhs)))
         # b) exact diagonal identity
         for f in fs:
-            lhs = exterior_derivative(semigroup_apply(f, t, "poisson")).array
-            rhs = semigroup_apply(exterior_derivative(f), t,
-                                  "poisson_oneform").array
+            lhs = exterior_derivative(semigroup_apply(f, t)).array
+            rhs = semigroup_apply(exterior_derivative(f), t).array
             worst["b_gap"] = max(worst["b_gap"],
                                  float(np.max(np.abs(lhs - rhs), initial=0.0)))
     return worst
@@ -586,14 +565,10 @@ def flow_inequality_suite(fs, gs, ws, x_nodes, t_nodes, gl_order: int = 256,
 
 @dataclass(frozen=True)
 class FlowGrid:
-    """Space-time grid over which the flow characteristic is maximized.
-
-    quad_order is the node count of the subordination rule.
-    """
+    """Space-time grid over which the flow characteristic is maximized."""
 
     x_nodes: tuple
     t_nodes: tuple
-    quad_order: int = SUBORDINATION_ORDER
 
     def __post_init__(self):
         xs = tuple(float(v) for v in self.x_nodes)
@@ -610,11 +585,25 @@ class FlowGrid:
         object.__setattr__(self, "t_nodes", ts)
 
 
-def default_flow_grid(quad_order: int = SUBORDINATION_ORDER) -> FlowGrid:
-    """x in [-8, 8] step 0.25; t log-spaced 1e-3 .. 32 (40 nodes)."""
-    xs = np.arange(-8.0, 8.0 + 1e-9, 0.25)
-    ts = np.logspace(math.log10(1e-3), math.log10(32.0), 40)
-    return FlowGrid(tuple(xs), tuple(ts), quad_order)
+#: flow_grid's settings for the default grid; the a2 subcommand's defaults too
+FLOW_GRID_DEFAULTS = {"x_max": 8.0, "x_step": 0.25, "t_min": 1e-3,
+                      "t_max": 32.0, "t_nodes": 40}
+
+
+def flow_grid(x_max: float, x_step: float, t_min: float, t_max: float,
+              t_nodes: int) -> FlowGrid:
+    """x from -x_max to x_max in steps of x_step; t_nodes t log-spaced in [t_min, t_max]."""
+    try:
+        xs = np.arange(-x_max, x_max + 1e-9, x_step)
+    except ValueError as exc:       # more x nodes than an array can hold
+        raise ModelError(str(exc)) from exc
+    ts = np.logspace(math.log10(t_min), math.log10(t_max), t_nodes)
+    return FlowGrid(tuple(xs), tuple(ts))
+
+
+def default_flow_grid() -> FlowGrid:
+    """The grid of FLOW_GRID_DEFAULTS."""
+    return flow_grid(**FLOW_GRID_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -657,8 +646,8 @@ def q2_characteristic(w: WeightSpec, grid: FlowGrid | None = None) -> Q2Result:
     min_product = math.inf
     below_one = 0
     for t in grid.t_nodes:
-        p = _poisson_batch(w, xs, t, grid.quad_order)
-        pinv = _poisson_batch(winv, xs, t, grid.quad_order)
+        p = _poisson_batch(w, xs, t, SUBORDINATION_ORDER)
+        pinv = _poisson_batch(winv, xs, t, SUBORDINATION_ORDER)
         prod = p * pinv
         if not np.all(np.isfinite(prod)):
             raise QuadratureError("Poisson flow overflowed on the grid")

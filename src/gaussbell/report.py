@@ -64,10 +64,7 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
+    def loads(cls, text: str) -> "VerificationReport":
+        d = json.loads(text)
         return cls(**{**d, "checks": [CheckResult(**c) for c in d["checks"]],
                       "measurements": [Measurement(**m) for m in d["measurements"]]})
-
-    @classmethod
-    def loads(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))

@@ -34,9 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import bellman
+from . import __version__, bellman
 from .bellman import (
-    BellmanPoint,
     DomainError,
     QContext,
     _split_columns,
@@ -578,23 +577,27 @@ def aux_checks(ctx: QContext, n: int, h: float, label: str) -> list:
 # mollified evaluation
 # ---------------------------------------------------------------------------
 
-def mollify_eval(point: BellmanPoint, ctx: QContext, eps: float, mc: int,
-                 seed) -> float:
-    """Seeded Monte-Carlo mollification of the radial profile.
+def mollify_eval(x, ctx: QContext, eps: float, mc: int, seed) -> float:
+    """Seeded Monte-Carlo mollification of the radial profile at one point.
 
-    Averages B_Q over the bump psi(u) = exp(-1/(1-|u|^2)) supported in the
-    unit ball of R^6, scaled by eps and self-normalized by the sampled psi
+    x is one (5+eta_dim,) row (Z, H, zeta, eta..., r, s) of D_Q.  Averages
+    B_Q over the bump psi(u) = exp(-1/(1-|u|^2)) supported in the unit
+    ball of R^6, scaled by eps and self-normalized by the sampled psi
     mass.  The radial profile extends evenly in zeta and nu; the eps-ball
     must stay inside the (even) radial domain, otherwise the input is
     rejected.
     """
-    point.validate(ctx)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ctx.dim,):
+        raise DomainError(f"point has shape {x.shape}, expected ({ctx.dim},)")
+    if not in_domain_batch(x[None, :], ctx.q)[0]:
+        raise DomainError("point lies outside D_Q")
     if eps < 0:
         raise DomainError("eps must be >= 0")
     if mc < 1:
         raise DomainError("mc must be >= 1")
-    base = np.array([point.z, point.h, abs(point.zeta), point.nu,
-                     point.r, point.s])
+    z, h, zeta, eta2, r, s = _split_columns(x[None, :])
+    base = np.concatenate([z, h, np.abs(zeta), np.sqrt(eta2), r, s])
     if eps == 0.0:
         return float(radial_batch(*base[:, None], ctx.q)[0])
 
@@ -615,10 +618,10 @@ def mollify_eval(point: BellmanPoint, ctx: QContext, eps: float, mc: int,
     return float(np.dot(psi, vals) / psi.sum())
 
 
-def _mollify_probe_points(q: float, eps: float) -> list:
-    """A few interior points whose eps-ball comfortably fits in D_Q."""
+def _mollify_probe_points(q: float, eps: float) -> np.ndarray:
+    """A few interior rows (Z, H, zeta, nu, r, s) whose eps-ball comfortably fits in D_Q."""
     if q < 1.0 + 8.0 * eps + 1e-9:
-        return []
+        return np.empty((0, 6))
     pts = []
     u_mid = (1.0 + q) / 2.0
     for zscale, frac in ((2.0, 0.3), (10.0, 0.0), (5.0, 0.6)):
@@ -628,8 +631,8 @@ def _mollify_probe_points(q: float, eps: float) -> list:
         h = z
         zeta = frac * math.sqrt(0.25 * z * r)
         nu = frac * math.sqrt(0.25 * h * s)
-        pts.append(BellmanPoint(z, h, zeta, (nu,), r, s))
-    return pts
+        pts.append((z, h, zeta, nu, r, s))
+    return np.array(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -697,27 +700,27 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
         for k, pt in enumerate(probes):
             val = mollify_eval(pt, ctx, cfg.mollify_eps, cfg.mc_samples,
                                np.random.SeedSequence([cfg.seed, int(1e6 * q), 2, k]))
-            bound = bellman.SIZE_CONSTANT * (1 + cfg.mollify_eps) * (pt.z + pt.h)
+            bound = bellman.SIZE_CONSTANT * (1 + cfg.mollify_eps) * (pt[0] + pt[1])
             margin = min(margin, val, bound - val)
             if not (0 <= val <= bound):
                 fails += 1
-            gap = max(gap, abs(val - bq_batch(pt.as_array()[None, :], q)[0]))
+            gap = max(gap, abs(val - bq_batch(pt[None, :], q)[0]))
         checks.append(CheckResult(
             name=f"mollify_bound[{label}]", count=len(probes), failures=fails,
-            skipped=0, worst_margin=None if not probes else float(margin)))
-        if probes:
+            skipped=0, worst_margin=float(margin) if len(probes) else None))
+        if len(probes):
             measurements.append(Measurement(
                 name=f"mollify_max_gap[{label}]", value=float(gap)))
 
 
-def run_suite(cfg: SuiteConfig, tool_version: str = "0") -> VerificationReport:
+def run_suite(cfg: SuiteConfig) -> VerificationReport:
     """Full verification sweep over cfg.q_list; deterministic given cfg."""
     checks: list = []
     measurements: list = []
     for q in cfg.q_list:
         _run_q(float(q), cfg, checks, measurements)
     return VerificationReport(
-        tool_version=tool_version,
+        tool_version=__version__,
         config_echo={"subcommand": "verify-bellman", **cfg.as_dict()},
         checks=checks,
         measurements=measurements,

@@ -64,7 +64,7 @@ def suite_report():
         directions_per_point=64,
         aux_grid_n=200,
     )
-    return run_suite(cfg, tool_version="acceptance")
+    return run_suite(cfg)
 
 
 def _checks(report, prefix):
@@ -298,8 +298,8 @@ def test_criterion_12_determinism():
     """Identical configurations reproduce identical reports mod timestamp."""
     cfg = SuiteConfig(q_list=(2.0, 10.0), samples_per_q=2000, seed=SEED,
                       aux_grid_n=25, mollify_eps=0.05, mc_samples=5000)
-    a = run_suite(cfg, "acceptance").to_dict()
-    b = run_suite(cfg, "acceptance").to_dict()
+    a = run_suite(cfg).to_dict()
+    b = run_suite(cfg).to_dict()
     a.pop("timestamp")
     b.pop("timestamp")
     ok = a == b

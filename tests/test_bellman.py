@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from gaussbell.bellman import (
     AUX_KINDS,
-    BellmanPoint,
     C1,
     C2,
     C3,
     C4,
     DomainError,
-    EFFECTIVE_SIZE_CONSTANT,
     QContext,
     aux_raw,
     aux_size_bound,
@@ -21,16 +19,22 @@ from gaussbell.bellman import (
     bq_batch,
     components_batch,
     pi_distance_batch,
-    unweighted_batch,
 )
-from gaussbell.verify import b43_reference_batch, sample_columns, _rng
+from gaussbell.verify import b43_reference_batch, mollify_eval, sample_columns, _rng
 
 Q1 = QContext(1.0)
+#: each component is at most 2(Z+H), so B_Q <= this times (Z+H)
+EFFECTIVE_SIZE_CONSTANT = C1 + C2 + C3 + 3 * C4
 
 
 def row(*coords) -> np.ndarray:
     """One (Z, H, zeta, eta, r, s) point as a one-row batch."""
     return np.array([coords], dtype=float)
+
+
+def validate(ctx: QContext, *coords) -> None:
+    """Raise DomainError unless the point is a row of D_Q (mollify_eval's check)."""
+    mollify_eval(np.array(coords, dtype=float), ctx, 0.0, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +53,9 @@ def test_aux_examples(kind, r, s, q, expected):
 
 def test_aux_rejects_outside_slab():
     with pytest.raises(DomainError):
-        BellmanPoint(1, 1, 0, (0,), 2.0, 2.0).validate(QContext(2.0))   # rs = 4 > Q
+        validate(QContext(2.0), 1, 1, 0, 0, 2.0, 2.0)     # rs = 4 > Q
     with pytest.raises(DomainError):
-        BellmanPoint(1, 1, 0, (0,), 0.5, 1.0).validate(QContext(2.0))   # rs = 0.5 < 1
+        validate(QContext(2.0), 1, 1, 0, 0, 0.5, 1.0)     # rs = 0.5 < 1
     with pytest.raises(DomainError):
         aux_raw("Z", 1.0, 1.0, 2.0)
 
@@ -184,7 +188,7 @@ def test_radiality_under_eta_rotation():
 
 
 def test_unweighted_sum_six_bound():
-    assert unweighted_batch(row(1, 1, 0, 0, 1, 1), 1.0)[0] == pytest.approx(12.0, rel=1e-14)
+    assert components_batch(row(1, 1, 0, 0, 1, 1), 1.0).sum() == pytest.approx(12.0, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +212,17 @@ def test_pi_distance_vanishes_on_pi():
 
 
 def test_domain_validation():
+    validate(Q1, 1, 1, 0, 0, 1, 1)                      # the corner point is in D_1
     with pytest.raises(DomainError):
-        BellmanPoint(1, 1, 2, (0,), 1, 1).validate(Q1)      # zeta^2 > Zr
+        validate(Q1, 1, 1, 2, 0, 1, 1)                  # zeta^2 > Zr
     with pytest.raises(DomainError):
-        BellmanPoint(1, 1, 0, (2,), 1, 1).validate(Q1)      # eta^2 > Hs
+        validate(Q1, 1, 1, 0, 2, 1, 1)                  # eta^2 > Hs
     with pytest.raises(DomainError):
-        BellmanPoint(1, 1, 0, (0,), 2, 1).validate(Q1)      # rs > Q
+        validate(Q1, 1, 1, 0, 0, 2, 1)                  # rs > Q
     with pytest.raises(DomainError):
-        BellmanPoint(-1, 1, 0, (0,), 1, 1).validate(Q1)
+        validate(Q1, -1, 1, 0, 0, 1, 1)
+    with pytest.raises(DomainError):
+        validate(Q1, 1, 1, 0, 0, 0, 1, 1)               # eta has length 2, eta_dim 1
     with pytest.raises(DomainError):
         QContext(0.5)
     with pytest.raises(DomainError):

@@ -188,6 +188,7 @@ def test_parser_flags_come_from_defaults():
     ["repr-check", "--n", ""],
     ["sweep", "--params", ""],
     ["a2", "--x-step", "0"],
+    ["a2", "--x-step", "1e-300"],
     ["a2", "--t-max", "nan"],
     ["a2", "--t-nodes", "-1"],
     ["a2", "--x-max", "nan"],
@@ -196,6 +197,8 @@ def test_parser_flags_come_from_defaults():
     ["aux-bounds", "--fd-step", "-1"],
     ["aux-bounds", "--fd-step", "nan"],
     ["riesz-norm", "--n", "80"],
+    ["riesz-norm", "--weight", "exp:a=0.75", "--n", "159"],
+    ["riesz-norm", "--weight", "exp:a=0.75", "--n", "81"],
 ], ids=" ".join)
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, argv):
     out = tmp_path / "out"

@@ -13,6 +13,8 @@ from scipy.integrate import IntegrationWarning, quad
 
 import gaussbell
 from gaussbell.gauss import (
+    FLOW_SUITE_ORDER,
+    QUAD_UNWEIGHTED,
     QUAD_WEIGHTED,
     FlowGrid,
     HermiteFunction,
@@ -49,7 +51,6 @@ WEXP = WeightSpec.exp_linear(1.0)
 SMALL_GRID = FlowGrid(
     x_nodes=tuple(np.arange(-4.0, 4.0 + 1e-9, 1.0)),
     t_nodes=tuple(np.logspace(-2, math.log10(8.0), 8)),
-    quad_order=256,
 )
 
 
@@ -64,12 +65,19 @@ SMALL_GRID = FlowGrid(
     (3, 1.5, 1.5**3 - 3 * 1.5),
 ])
 def test_hermite_values(n, x, expected):
-    assert hermite_eval(n, x) == pytest.approx(expected, rel=1e-14)
+    """expected is h_n(x); hermite_eval returns hhat_n = h_n / sqrt(n!)."""
+    assert hermite_eval(n, x) == pytest.approx(
+        expected / math.sqrt(math.factorial(n)), rel=1e-14)
 
 
 def test_hermite_orthonormal_scaling():
-    assert hermite_eval(4, 1.3, orthonormal=True) == pytest.approx(
-        hermite_eval(4, 1.3) / math.sqrt(math.factorial(4)), rel=1e-13)
+    """hermite_eval's in-place recurrence gives the design's hhat_n, also at large n and |x|."""
+    x = np.linspace(-30.0, 30.0, 601)
+    for n in (4, 17, 40):
+        assert np.allclose(hermite_eval(n, x), hermite_design(n, x)[:, n],
+                           rtol=1e-12, atol=0.0)
+    assert hermite_eval(4, 1.3) == pytest.approx(
+        (1.3**4 - 6 * 1.3**2 + 3) / math.sqrt(24), rel=1e-13)
 
 
 def test_hermite_orthonormality_under_quadrature():
@@ -82,10 +90,10 @@ def test_hermite_orthonormality_under_quadrature():
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(0, 20), x=st.floats(-10, 10))
 def test_hermite_recurrence_consistency(n, x):
-    # h_{n+1} = x h_n - n h_{n-1}
+    # sqrt(n+1) hhat_{n+1} = x hhat_n - sqrt(n) hhat_{n-1}
     if n >= 1:
-        lhs = hermite_eval(n + 1, x)
-        rhs = x * hermite_eval(n, x) - n * hermite_eval(n - 1, x)
+        lhs = math.sqrt(n + 1) * hermite_eval(n + 1, x)
+        rhs = x * hermite_eval(n, x) - math.sqrt(n) * hermite_eval(n - 1, x)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-8)
 
 
@@ -94,47 +102,40 @@ def test_hermite_recurrence_consistency(n, x):
 # ---------------------------------------------------------------------------
 
 def test_semigroup_examples():
+    """Poisson rates are sqrt(n) on functions and sqrt(m+1) on one-forms."""
     h4 = HermiteFunction.basis(4)
-    assert semigroup_apply(h4, 0.5, "poisson").coeffs[4] == pytest.approx(
+    assert semigroup_apply(h4, 0.5).coeffs[4] == pytest.approx(
         math.exp(-1.0), rel=1e-15)            # e^{-0.5 sqrt(4)}
-    assert semigroup_apply(h4, 0.0, "heat").coeffs == h4.coeffs
-    assert semigroup_apply(H0, 9.0, "heat").coeffs == (1.0,)  # Markovian
+    assert semigroup_apply(h4, 0.0).coeffs == h4.coeffs
+    assert semigroup_apply(H0, 9.0).coeffs == (1.0,)  # Markovian
     g = OneForm.basis(3)
-    assert semigroup_apply(g, 1.0, "poisson_oneform").coeffs[3] == \
+    assert semigroup_apply(g, 1.0).coeffs[3] == \
         pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert semigroup_apply(OneForm.basis(0), 9.0).coeffs[0] == \
+        pytest.approx(math.exp(-9.0), rel=1e-15)
 
 
 def test_semigroup_rejects_negative_time():
     with pytest.raises(ModelError):
-        semigroup_apply(H1, -0.1, "heat")
-
-
-@pytest.mark.parametrize("obj, mode", [
-    (OneForm.basis(1), "heat"),
-    (OneForm.basis(1), "poisson"),
-    (HermiteFunction.basis(1), "poisson_oneform"),
-])
-def test_semigroup_rejects_mismatched_type(obj, mode):
-    """A OneForm is a HermiteFunction; the modes still tell them apart."""
-    with pytest.raises(ModelError):
-        semigroup_apply(obj, 0.5, mode)
+        semigroup_apply(H1, -0.1)
 
 
 def test_oneform_constructors_keep_type():
-    g = OneForm.basis(2, size=4)
-    assert type(g) is OneForm and g.coeffs == (0.0, 0.0, 1.0, 0.0)
-    assert type(g.scaled(3.0)) is OneForm
-    assert g.scaled(3.0).coeffs == (0.0, 0.0, 3.0, 0.0)
-    assert type(HermiteFunction.basis(2).scaled(3.0)) is HermiteFunction
+    g = OneForm.basis(2)
+    assert type(g) is OneForm and g.coeffs == (0.0, 0.0, 1.0)
+    assert type(semigroup_apply(g, 1.0)) is OneForm
+    assert type(exterior_derivative(H1)) is OneForm
+    assert type(HermiteFunction.basis(2)) is HermiteFunction
+    assert type(semigroup_apply(H1, 1.0)) is HermiteFunction
 
 
 @settings(max_examples=60, deadline=None)
 @given(t1=st.floats(0, 3), t2=st.floats(0, 3),
-       mode=st.sampled_from(["heat", "poisson"]))
-def test_semigroup_composition(t1, t2, mode):
-    f = HermiteFunction((0.5, -1.0, 2.0, 0.25))
-    once = semigroup_apply(f, t1 + t2, mode)
-    twice = semigroup_apply(semigroup_apply(f, t1, mode), t2, mode)
+       kind=st.sampled_from([HermiteFunction, OneForm]))
+def test_semigroup_composition(t1, t2, kind):
+    f = kind((0.5, -1.0, 2.0, 0.25))
+    once = semigroup_apply(f, t1 + t2)
+    twice = semigroup_apply(semigroup_apply(f, t1), t2)
     assert np.allclose(once.array, twice.array, rtol=1e-12, atol=1e-15)
 
 
@@ -145,7 +146,7 @@ def test_riesz_shift_and_kernel():
 
 def test_riesz_isometry_off_constants():
     f = HermiteFunction((0.3, 1.0, -2.0, 0.5, 0.1))
-    assert riesz_apply(f).norm() == pytest.approx(
+    assert np.linalg.norm(riesz_apply(f).array) == pytest.approx(
         float(np.linalg.norm(f.array[1:])), rel=1e-15)
 
 
@@ -153,9 +154,8 @@ def test_exterior_derivative_intertwines_poisson():
     """d P_t f = P_t d f to machine precision (fixes the one-form action)."""
     f = HermiteFunction((0.2, 1.0, -0.7, 0.0, 0.9))
     for t in (0.1, 1.0, 7.5):
-        lhs = exterior_derivative(semigroup_apply(f, t, "poisson")).array
-        rhs = semigroup_apply(exterior_derivative(f), t,
-                              "poisson_oneform").array
+        lhs = exterior_derivative(semigroup_apply(f, t)).array
+        rhs = semigroup_apply(exterior_derivative(f), t).array
         assert np.allclose(lhs, rhs, rtol=1e-14, atol=0.0)
 
 
@@ -164,10 +164,10 @@ def test_exterior_derivative_intertwines_poisson():
 # ---------------------------------------------------------------------------
 
 def test_weighted_inner_examples():
-    assert weighted_inner(H1, H1, W1, 40) == pytest.approx(1.0, abs=1e-14)
-    assert weighted_inner(H1, HermiteFunction.basis(2), W1, 40) == \
+    assert weighted_inner(H1, H1, W1) == pytest.approx(1.0, abs=1e-14)
+    assert weighted_inner(H1, HermiteFunction.basis(2), W1) == \
         pytest.approx(0.0, abs=1e-14)
-    assert weighted_inner(H0, H0, WEXP, 80) == pytest.approx(
+    assert weighted_inner(H0, H0, WEXP) == pytest.approx(
         math.exp(0.5), rel=1e-13)
 
 
@@ -175,7 +175,11 @@ def test_weighted_inner_validation():
     with pytest.raises(ModelError):
         weighted_inner(H0, OneForm.basis(0), W1)
     with pytest.raises(ModelError):
-        weighted_inner(H0, H0, W1, quad_order=1)
+        gh_rule(1)
+    # an empty expansion has no order: refused before any quadrature sees it
+    for kind in (HermiteFunction, OneForm):
+        with pytest.raises(ModelError):
+            kind(())
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +200,7 @@ def test_weight_positivity_and_bounds():
     with pytest.raises(ModelError):
         WeightSpec.exp_linear(2.5)
     with pytest.raises(ModelError):
-        WeightSpec.truncated(WEXP, 0)
+        truncate_weight(WEXP, 0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,7 +220,7 @@ def test_weight_grammar_roundtrip(kind, v, n):
     elif kind == "exp":
         w = WeightSpec.exp_linear(v)
     else:
-        w = WeightSpec.truncated(WeightSpec.exp_linear(v), n)
+        w = truncate_weight(WeightSpec.exp_linear(v), n)
     again = WeightSpec.parse(w.to_string())
     assert again == w
 
@@ -415,10 +419,15 @@ def test_poisson_weight_matches_subordination_oracle():
 
 @pytest.mark.parametrize("spec", ["exp:a=1", "trunc:n=4:exp:a=1"])
 def test_q2_converged_in_subordination_order(spec):
+    """q2 on the default grid agrees with the maximum taken on 1024 subordination nodes."""
     w = WeightSpec.parse(spec)
-    q512 = q2_characteristic(w, default_flow_grid(512)).value
-    q1024 = q2_characteristic(w, default_flow_grid(1024)).value
-    assert q1024 == pytest.approx(q512, rel=1e-8)
+    grid = default_flow_grid()
+    xs = np.asarray(grid.x_nodes)
+    res = q2_characteristic(w, grid)
+    q1024 = max(float(np.max(_poisson_batch(w, xs, t, 1024)
+                             * _poisson_batch(w.inverse(), xs, t, 1024)))
+                for t in grid.t_nodes)
+    assert max(q1024, res.limit) == pytest.approx(res.value, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +476,7 @@ def test_q2_truncation_converges_on_fixed_grid():
     arg-max sits at the x-boundary, so levels must reach roughly
     e^{max|x|} times the subordination spread before the gap closes)."""
     grid = FlowGrid(tuple(np.arange(-8.0, 8.0 + 1e-9, 0.5)),
-                    tuple(np.logspace(-2, math.log10(16.0), 12)), 384)
+                    tuple(np.logspace(-2, math.log10(16.0), 12)))
     full = q2_characteristic(WEXP, grid).value
     vals = [q2_characteristic(truncate_weight(WEXP, n), grid).value
             for n in (32, 512, 5000, 20000)]
@@ -486,6 +495,9 @@ def test_flow_grid_validation():
     grid = default_flow_grid()
     assert len(grid.x_nodes) == 65
     assert len(grid.t_nodes) == 40
+    # the grid the a2 defaults spell out, bit for bit
+    assert grid.x_nodes == tuple(np.arange(-8.0, 8.0 + 1e-9, 0.25))
+    assert grid.t_nodes == tuple(np.logspace(math.log10(1e-3), math.log10(32.0), 40))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +508,7 @@ def test_flow_inequalities_small_grid():
     fs = [H1, HermiteFunction((0.0, 1.0, 0.0, 1.0))]
     gs = [OneForm.basis(0), OneForm.basis(2)]
     ws = [W1, WeightSpec.exp_linear(0.5), truncate_weight(WEXP, 4)]
-    m = flow_inequality_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes,
-                     gl_order=128, gh_order=64)
+    m = flow_inequality_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes)
     assert m["a"] >= -1e-8
     assert m["c"] >= -1e-8
     assert m["d"] >= -1e-8
@@ -537,10 +548,9 @@ def test_flow_suite_matches_whole_array_sum():
     fs = [H1, HermiteFunction((0.0, 1.0, 0.0, 1.0))]
     gs = [OneForm.basis(0), OneForm.basis(2)]
     ws = [W1, WeightSpec.exp_linear(0.5), truncate_weight(WEXP, 4)]
-    m = flow_inequality_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes,
-                              gl_order=128, gh_order=64)
+    m = flow_inequality_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes)
     ref = _whole_array_suite(fs, gs, ws, SMALL_GRID.x_nodes, SMALL_GRID.t_nodes,
-                             128, 64)
+                             FLOW_SUITE_ORDER, QUAD_UNWEIGHTED)
     for key, value in ref.items():
         assert abs(m[key] - value) <= 1e-14, key
 

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from gaussbell import __version__
 from gaussbell.bellman import (
-    EFFECTIVE_SIZE_CONSTANT,
-    BellmanPoint,
+    C1,
+    C2,
+    C3,
+    C4,
     DomainError,
     QContext,
     aux_raw,
     b43_branch_batch,
     bq_batch,
+    components_batch,
     pi_distance_batch,
-    unweighted_batch,
     _components,
 )
 from gaussbell.report import VerificationReport
@@ -45,16 +48,14 @@ Q2 = QContext(2.0)
 def test_sample_domain_membership_and_count():
     x = sample_columns(2.0, 1, 1000, _rng(5))
     assert x.shape == (1000, 6)
-    for row in x:
-        BellmanPoint.from_array(row).validate(Q2)      # raises on violation
+    assert in_domain_batch(x, 2.0).all()
 
 
 def test_sample_domain_q1_pins_rs_exactly():
     # membership is exact, so the degenerate slab must be hit to the ulp
     x = sample_columns(1.0, 1, 500, _rng(1))
     assert np.all(x[:, -2] * x[:, -1] == 1.0)
-    for row in x:
-        BellmanPoint.from_array(row).validate(Q1)
+    assert in_domain_batch(x, 1.0).all()
 
 
 def test_sample_domain_deterministic():
@@ -118,7 +119,7 @@ def test_bq_is_affine_in_z_and_h(q, eta_dim):
             y = x.copy()
             y[:, col] += a
             by = bq_batch(y, q)
-            err = np.abs((by - b) - EFFECTIVE_SIZE_CONSTANT * a)
+            err = np.abs((by - b) - (C1 + C2 + C3 + 3 * C4) * a)
             assert np.all(err <= 1e-12 * (np.abs(b) + np.abs(by)))
 
 
@@ -186,7 +187,7 @@ def test_fd_hessian_one_pass_is_exact(q, eta_dim):
     assert np.array_equal(hess[rows], ref)
     comps, branch = _components(pts, q)
     assert np.array_equal(branch, b43_branch_batch(pts, q))
-    assert np.array_equal(np.column_stack(comps).sum(axis=1), unweighted_batch(pts, q))
+    assert np.array_equal(np.column_stack(comps).sum(axis=1), components_batch(pts, q).sum(axis=1))
 
 
 @pytest.mark.parametrize("eta_dim", [1, 3])
@@ -315,7 +316,7 @@ def test_verify_point_passes_generic_sample():
     v = _row_verdicts(x, 2.0, cfg, _directions(Q2, cfg))
     # one component evaluation serves B_Q and the plain six-bound sum
     assert np.array_equal(v["b"], bq_batch(x, 2.0))
-    assert np.array_equal(v["unweighted"], unweighted_batch(x, 2.0))
+    assert np.array_equal(v["unweighted"], components_batch(x, 2.0).sum(axis=1))
     assert not v["size_fail"].any()
     assert not v["sign_fail"].any()
     assert not v["hessian_fail"].any()
@@ -356,31 +357,31 @@ def test_verify_aux_rejects_bad_step(h):
 # ---------------------------------------------------------------------------
 
 def test_mollify_small_eps_matches_pointwise():
-    p = BellmanPoint(2.0, 2.0, 0.3, (0.4,), 1.2, 1.25)
+    p = np.array([2.0, 2.0, 0.3, 0.4, 1.2, 1.25])
     val = mollify_eval(p, Q2, eps=1e-8, mc=4000, seed=3)
-    assert val == pytest.approx(bq_batch(p.as_array()[None, :], 2.0)[0], abs=1e-5)
+    assert val == pytest.approx(bq_batch(p[None, :], 2.0)[0], abs=1e-5)
 
 
 def test_mollify_deterministic_and_bounded():
-    p = BellmanPoint(5.0, 5.0, 0.5, (0.5,), 1.2, 1.25)
+    p = np.array([5.0, 5.0, 0.5, 0.5, 1.2, 1.25])
     a = mollify_eval(p, Q2, eps=0.05, mc=20000, seed=11)
     b = mollify_eval(p, Q2, eps=0.05, mc=20000, seed=11)
     assert a == b
-    assert 0.0 <= a <= 80.0 * 1.05 * (p.z + p.h)
+    assert 0.0 <= a <= 80.0 * 1.05 * (p[0] + p[1])
 
 
 def test_mollify_constant_region_matches_value():
     """Affine dependence on Z, H averages out under the symmetric bump."""
-    p = BellmanPoint(50.0, 50.0, 0.0, (0.0,), 1.2, 1.25)
+    p = np.array([50.0, 50.0, 0.0, 0.0, 1.2, 1.25])
     val = mollify_eval(p, Q2, eps=0.05, mc=200000, seed=4)
-    assert val == pytest.approx(bq_batch(p.as_array()[None, :], 2.0)[0], rel=2e-3)
+    assert val == pytest.approx(bq_batch(p[None, :], 2.0)[0], rel=2e-3)
 
 
 def test_mollify_converges_linearly():
     """|mollified - pointwise| shrinks at least linearly in eps on a
     smooth interior point (empirically quadratically: symmetric bump)."""
-    p = BellmanPoint(3.0, 4.0, 0.5, (0.6,), 1.2, 1.25)
-    b = bq_batch(p.as_array()[None, :], 2.0)[0]
+    p = np.array([3.0, 4.0, 0.5, 0.6, 1.2, 1.25])
+    b = bq_batch(p[None, :], 2.0)[0]
     gaps = [abs(mollify_eval(p, Q2, eps, 400000, seed=1) - b)
             for eps in (0.2, 0.1, 0.05)]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -392,11 +393,11 @@ def test_mollify_converges_linearly():
 
 def test_mollify_rejects_ball_outside_domain():
     # rs = 1 exactly: any r, s wiggle exits the slab
-    p = BellmanPoint(2.0, 2.0, 0.0, (0.0,), 1.0, 1.0)
+    p = np.array([2.0, 2.0, 0.0, 0.0, 1.0, 1.0])
     with pytest.raises(DomainError):
         mollify_eval(p, Q2, eps=0.01, mc=100, seed=0)
     # Z smaller than eps: ball leaves Z >= 0
-    p2 = BellmanPoint(1e-4, 2.0, 0.0, (0.0,), 1.2, 1.25)
+    p2 = np.array([1e-4, 2.0, 0.0, 0.0, 1.2, 1.25])
     with pytest.raises(DomainError):
         mollify_eval(p2, Q2, eps=0.01, mc=1000, seed=0)
 
@@ -427,8 +428,8 @@ def test_suite_config_validation():
 def test_run_suite_counts_and_determinism():
     cfg = SuiteConfig(q_list=(1.0, 2.0), samples_per_q=200, seed=31,
                       aux_grid_n=10, mollify_eps=0.05, mc_samples=2000)
-    rep1 = run_suite(cfg, "t")
-    rep2 = run_suite(cfg, "t")
+    rep1 = run_suite(cfg)
+    rep2 = run_suite(cfg)
     d1 = rep1.to_dict()
     d2 = rep2.to_dict()
     d1.pop("timestamp")
@@ -438,13 +439,14 @@ def test_run_suite_counts_and_determinism():
     assert by_name["size[Q=1]"].count == 200
     assert by_name["size[Q=2]"].count == 200
     assert rep1.total_failures == 0
+    assert rep1.tool_version == __version__
     # report round-trips through JSON losslessly
     assert VerificationReport.loads(rep1.dumps()).to_dict() == rep1.to_dict()
 
 
 def test_run_suite_hessian_skips_recorded_for_q1():
     cfg = SuiteConfig(q_list=(1.0,), samples_per_q=50, seed=2, aux_grid_n=5)
-    rep = run_suite(cfg, "t")
+    rep = run_suite(cfg)
     hess = next(c for c in rep.checks if c.name.startswith("hessian"))
     assert hess.skipped == 50
     assert hess.failures == 0
@@ -455,7 +457,7 @@ def test_run_suite_hessian_skips_recorded_for_q1():
 
 def test_run_suite_reports_stencil_crosses_pi():
     cfg = SuiteConfig(q_list=(10.0,), samples_per_q=2000, seed=4, aux_grid_n=5)
-    rep = run_suite(cfg, "t")
+    rep = run_suite(cfg)
     hess = next(c for c in rep.checks if c.name.startswith("hessian"))
     reasons = next(m for m in rep.measurements
                    if m.name.startswith("hessian_skip_reasons"))
@@ -467,7 +469,7 @@ def test_run_suite_higher_eta_dimension():
     """The whole pipeline works with a 3-dimensional eta slot."""
     cfg = SuiteConfig(q_list=(2.0,), samples_per_q=300, seed=6, eta_dim=3,
                       aux_grid_n=8)
-    rep = run_suite(cfg, "t")
+    rep = run_suite(cfg)
     assert rep.total_failures == 0
     hess = next(c for c in rep.checks if c.name.startswith("hessian"))
     assert hess.count == 300
