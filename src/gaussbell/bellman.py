@@ -228,22 +228,20 @@ def radial_batch(z, h, za, nu, r, s, q: float) -> np.ndarray:
 def pi_distance_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Relative distance to the singular set Pi, batched.
 
-    Pi is where K/Q equals |zeta| s / |eta| or |eta| r / |zeta|; these are
-    exactly the loci where the critical-parameter split changes branch.
-    Points with zeta = 0 or eta = 0 cannot lie on Pi and get +inf.
+    Pi is where B43's critical-parameter branch changes: num = 0 or
+    den = 0 (see _critical_parameter).  The distance is
+    min(|num| / (K |zeta|), |den| / (K |eta|)), the relative gaps of K/Q
+    to |eta| r / |zeta| and to |zeta| s / |eta|.  Points with zeta = 0 or
+    eta = 0 cannot lie on Pi and get +inf.
     """
     x = np.asarray(x, dtype=float)
     _, _, zeta, eta2, r, s = _split_columns(x)
-    za = np.abs(zeta)
-    nu = np.sqrt(eta2)
-    k_over_q = aux_raw("K", r, s, q) / q
-    out = np.full(x.shape[0], np.inf)
-    ok = (za > 0) & (nu > 0)
-    if ok.any():
-        r1 = np.abs(k_over_q[ok] - za[ok] * s[ok] / nu[ok]) / k_over_q[ok]
-        r2 = np.abs(k_over_q[ok] - nu[ok] * r[ok] / za[ok]) / k_over_q[ok]
-        out[ok] = np.minimum(r1, r2)
-    return out
+    k = aux_raw("K", r, s, q)
+    num, den, _ = _critical_parameter(zeta, eta2, r, s, k, q)
+    za, nu = np.abs(zeta), np.sqrt(eta2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = np.minimum(np.abs(num) / (k * za), np.abs(den) / (k * nu))
+    return np.where((za > 0) & (nu > 0), dist, np.inf)
 
 
 def beta_values(x: np.ndarray, q: float, a) -> np.ndarray:

@@ -112,24 +112,28 @@ def subordination_nodes(t: float, gl_order: int):
 # Hermite basis
 # ---------------------------------------------------------------------------
 
-def hermite_eval(n: int, x):
-    """Orthonormal Hermite hhat_n(x) = h_n(x)/sqrt(n!).
-
-    Uses the normalized three-term recurrence, which stays stable at
-    large n and |x|.
-    """
-    if n < 0:
-        raise ModelError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    # in place, three buffers: the validation quadratures call this on
-    # blocks of Mehler points, so no step allocates a fresh array
+def _hermite_values(n: int, x: np.ndarray):
+    """Yield hhat_0(x) .. hhat_n(x) by the normalized three-term recurrence,
+    which stays stable at large n and |x|.  It runs in place in three buffers,
+    so a yielded array is overwritten two steps later."""
     prev, curr, nxt = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    yield curr
     for k in range(n):
         np.multiply(x, curr, out=nxt)
         np.multiply(prev, math.sqrt(k), out=prev)
         nxt -= prev
         nxt /= math.sqrt(k + 1)
         prev, curr, nxt = curr, nxt, prev
+        yield curr
+
+
+def hermite_eval(n: int, x):
+    """Orthonormal Hermite hhat_n(x) = h_n(x)/sqrt(n!)."""
+    if n < 0:
+        raise ModelError("n must be >= 0")
+    x = np.asarray(x, dtype=float)
+    for curr in _hermite_values(n, x):
+        pass
     return curr if x.ndim else float(curr)
 
 
@@ -137,12 +141,8 @@ def hermite_design(nmax: int, x) -> np.ndarray:
     """Matrix of orthonormal values hhat_0..hhat_nmax at x, shape x.shape + (nmax+1,)."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (nmax + 1,))
-    prev = np.zeros_like(x)
-    curr = np.ones_like(x)
-    out[..., 0] = curr
-    for k in range(nmax):
-        prev, curr = curr, (x * curr - math.sqrt(k) * prev) / math.sqrt(k + 1)
-        out[..., k + 1] = curr
+    for k, curr in enumerate(_hermite_values(nmax, x)):
+        out[..., k] = curr
     return out
 
 

@@ -9,11 +9,11 @@ and checks pointwise:
                band around Pi),
   * sign:      the radial profile is nonincreasing in nu = |eta|.
 
-B_Q is affine in Z and H, so the Hessians difference only the block
-(zeta, eta, r, s) and carry exact zeros in the Z and H rows and columns.
-A Hessian row is skipped, with its reason counted, when it lies in the Pi
-band (near_pi), or when no step above the float64 noise floor keeps its
-stencil inside D_Q (stencil_unfit) or on one branch of B43's critical
+B_Q is affine in Z and H, so the Hessians are those of the block
+(zeta, eta, r, s) alone.  A Hessian row is skipped, with its reason
+counted, when it lies in the Pi band (near_pi), or when no step above the
+float64 noise floor keeps its stencil inside D_Q and resolves its
+curvature (stencil_unfit) or keeps it on one branch of B43's critical
 parameter (stencil_crosses_pi).
 
 The same machinery certifies the auxiliary-function bounds (five size
@@ -195,73 +195,66 @@ def in_domain_batch(x: np.ndarray, q: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _stencil_template(dim: int):
-    """Offsets (in units of the per-coordinate step) and index maps.
+def _stencil_template(nb: int):
+    """Offsets (in units of the per-coordinate step) and index arrays.
 
     Layout: [center] + [+2e_i, -2e_i for each i] + [the four cross points
-    for each pair i<j].  Returns (offsets, diag_idx, cross_idx) where
-    diag_idx[i] = (plus, minus) and cross_idx[(i, j)] = (pp, pm, mp, mm).
+    (++, +-, -+, --) for each pair i<j, in np.triu_indices order].  Returns
+    (offsets, diag, pairs, cross): diag[i] = (plus, minus), pairs = (i, j)
+    from np.triu_indices(nb, 1) and cross[p] = (pp, pm, mp, mm) of pair p.
     """
-    offsets = [np.zeros(dim)]
-    diag_idx = {}
-    for i in range(dim):
-        diag_idx[i] = (len(offsets), len(offsets) + 1)
-        e = np.zeros(dim)
-        e[i] = 2.0
-        offsets.append(e.copy())
-        offsets.append(-e)
-    cross_idx = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            base = len(offsets)
-            cross_idx[(i, j)] = (base, base + 1, base + 2, base + 3)
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                e = np.zeros(dim)
-                e[i] = si
-                e[j] = sj
-                offsets.append(e)
-    return np.array(offsets), diag_idx, cross_idx
+    eye = np.eye(nb)
+    pairs = np.triu_indices(nb, 1)
+    p = np.arange(pairs[0].size)
+    cross_offsets = np.zeros((p.size, 4, nb))
+    cross_offsets[p, :, pairs[0]] = (1, 1, -1, -1)
+    cross_offsets[p, :, pairs[1]] = (1, -1, 1, -1)
+    offsets = np.concatenate([np.zeros((1, nb)),
+                              np.stack([2 * eye, -2 * eye], axis=1).reshape(-1, nb),
+                              cross_offsets.reshape(-1, nb)])
+    diag = 1 + np.arange(2 * nb).reshape(nb, 2)
+    cross = 1 + 2 * nb + np.arange(4 * p.size).reshape(p.size, 4)
+    return offsets, diag, pairs, cross
 
 
-def _assemble_hessians(fvals: np.ndarray, steps: np.ndarray, dim: int) -> np.ndarray:
-    """Assemble (m, dim, dim) Hessians from stencil values (m, n_stencil)."""
-    _, diag_idx, cross_idx = _stencil_template(dim)
-    m = fvals.shape[0]
-    hess = np.empty((m, dim, dim))
-    f0 = fvals[:, 0]
-    for i in range(dim):
-        ip, im = diag_idx[i]
-        hess[:, i, i] = (fvals[:, ip] - 2 * f0 + fvals[:, im]) / (4 * steps[:, i] ** 2)
-    for (i, j), (pp, pm, mp, mm) in cross_idx.items():
-        v = (fvals[:, pp] - fvals[:, pm] - fvals[:, mp] + fvals[:, mm]) \
-            / (4 * steps[:, i] * steps[:, j])
-        hess[:, i, j] = v
-        hess[:, j, i] = v
+def _assemble_hessians(f: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Assemble (m, nb, nb) Hessians from stencil values (m, n_stencil) and steps (m, nb)."""
+    m, nb = steps.shape
+    _, diag, (i, j), cross = _stencil_template(nb)
+    hess = np.empty((m, nb, nb))
+    d = np.arange(nb)
+    hess[:, d, d] = (f[:, diag[:, 0]] - 2 * f[:, :1] + f[:, diag[:, 1]]) / (4 * steps ** 2)
+    hess[:, i, j] = hess[:, j, i] = (f[:, cross[:, 0]] - f[:, cross[:, 1]] - f[:, cross[:, 2]]
+                                     + f[:, cross[:, 3]]) / (4 * steps[:, i] * steps[:, j])
     return hess
 
 
 def fd_hessian_batch(x: np.ndarray, q: float, h: float):
-    """Central-difference Hessians of B_Q for every row of x.
+    """Central-difference Hessians of B_Q's (zeta, eta, r, s) block for every row of x.
 
     Every component of B_Q is Z + H minus a function of (zeta, eta, r, s),
-    so B_Q is affine in Z and H: only the block coordinates (columns 2
-    onward) are differenced, and the Z and H rows and columns of every
-    fitted Hessian are exact zeros.  The step in block coordinate i is
+    so B_Q is affine in Z and H: only the nb = dim - 2 block coordinates
+    (columns 2 onward) are differenced, and the Hessians are (n, nb, nb),
+    NaN in the rows left unfitted.  The step in block coordinate i is
     h * max(1, |x_i|).  Every stencil point must lie in D_Q and on the
     centre's branch of B43's critical parameter (the branch changes on Pi,
     where B_Q is not twice differentiable); otherwise the step is halved,
     up to MAX_HALVINGS times.  Halvings stop early once the step falls
     under STEP_NOISE_FLOOR, where float64 cancellation noise would exceed
-    the concavity tolerance.  Each level evaluates B_Q and the branch of
-    its in-domain stencil points in one pass.  Returns (hessians, used_h, fitted,
-    crosses_pi); crosses_pi marks the unfitted rows whose last stencil lay
-    in D_Q but spanned two branches.
+    the concavity tolerance.  A row whose stencil fits but whose block
+    diagonal differences to exactly 0.0 has a curvature below the
+    stencil's float64 resolution; smaller steps only add noise, so it is
+    left unfitted.  Each level evaluates B_Q and the branch of its
+    in-domain stencil points in one pass.  Returns (hessians, used_h,
+    fitted, crosses_pi); crosses_pi marks the unfitted rows whose last
+    stencil lay in D_Q but spanned two branches.
     """
     x = np.asarray(x, dtype=float)
     n, dim = x.shape
-    offsets, _, _ = _stencil_template(dim - 2)
+    nb = dim - 2
+    offsets = _stencil_template(nb)[0]
     k = len(offsets)
-    hess = np.full((n, dim, dim), np.nan)
+    hess = np.full((n, nb, nb), np.nan)
     used_h = np.full(n, np.nan)
     fitted = np.zeros(n, dtype=bool)
     crosses_pi = np.zeros(n, dtype=bool)
@@ -275,7 +268,7 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
         if hcur < STEP_NOISE_FLOOR and level > 0:
             break
         xr = x[remaining]
-        steps = hcur * np.maximum(1.0, np.abs(xr[:, 2:]))     # (m, dim - 2)
+        steps = hcur * np.maximum(1.0, np.abs(xr[:, 2:]))     # (m, nb)
         # column-major stencil (coordinate, row, stencil point), so that
         # every coordinate column of the flattened points is contiguous
         pts = np.empty((dim, remaining.size, k))
@@ -291,11 +284,11 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
         crosses_pi[remaining] = crossing
         ok &= ~crossing
         if ok.any():
-            idx = remaining[ok]
             fvals = bellman._weighted_sum(*comps).reshape(-1, k)[~straddles]
-            block = np.zeros((idx.size, dim, dim))
-            block[:, 2:, 2:] = _assemble_hessians(fvals, steps[ok], dim - 2)
-            hess[idx] = block
+            block = _assemble_hessians(fvals, steps[ok])
+            resolved = block.diagonal(0, 1, 2).all(axis=1)    # no exact 0.0 curvature
+            idx = remaining[ok][resolved]
+            hess[idx] = block[resolved]
             used_h[idx] = hcur
             fitted[idx] = True
             remaining = remaining[~ok]
@@ -303,37 +296,32 @@ def fd_hessian_batch(x: np.ndarray, q: float, h: float):
 
 
 def hessian_directions(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """2*dim signed coordinate directions plus `count` random unit vectors."""
-    eye = np.eye(dim)
+    """+-e_i for the dim - 2 block axes (zeta, eta, r, s), then `count` random unit vectors."""
+    eye = np.eye(dim)[2:]
     coords = np.concatenate([eye, -eye], axis=0)
     rand = rng.normal(size=(count, dim))
     rand /= np.linalg.norm(rand, axis=1, keepdims=True)
     return np.concatenate([coords, rand], axis=0)
 
 
-def hessian_margins(hess: np.ndarray, directions: np.ndarray, q: float,
-                    eta_dim: int):
+def hessian_margins(hess: np.ndarray, directions: np.ndarray, q: float):
     """Concavity slack min over directions of dX^T(-H)dX - (4/Q)|dzeta||deta|.
 
-    Only the (zeta, eta, r, s) block of H enters: its Z and H rows and
-    columns are exact zeros, so the forms are one matmul of the flattened
-    block against the flattened outer products of the directions' block
-    parts.  Directions without a block part (+-e_Z, +-e_H) have form 0 and
-    are left out of the minimum.  Also returns the minimal ratio form/rhs
+    hess holds fd_hessian_batch's (zeta, eta, r, s) blocks: B_Q is affine
+    in Z and H, so only the directions' block parts enter, and the forms
+    are one matmul of the flattened blocks against the flattened outer
+    products of those parts.  Also returns the minimal ratio form/rhs
     over directions with rhs > 0 (the empirically observed concavity
     constant relative to 4/Q).
     """
     d = directions[:, 2:]
-    d = d[(d != 0).any(axis=1)]
     nb = d.shape[1]
     outer = (d[:, :, None] * d[:, None, :]).reshape(-1, nb * nb)
-    forms = -(hess[:, 2:, 2:].reshape(-1, nb * nb) @ outer.T)
+    forms = -(hess.reshape(-1, nb * nb) @ outer.T)
     dzeta = np.abs(d[:, 0])
-    deta = np.linalg.norm(d[:, 1:1 + eta_dim], axis=1)
+    deta = np.linalg.norm(d[:, 1:-2], axis=1)
     rhs = (4.0 / q) * dzeta * deta
-    # + 0.0: a block curvature below the stencil's float64 resolution
-    # differences to exactly zero, and its form -0.0 should read as 0.0
-    margins = (forms - rhs[None, :]).min(axis=1) + 0.0
+    margins = (forms - rhs[None, :]).min(axis=1)
     pos = rhs > 1e-12
     if pos.any():
         ratios = (forms[:, pos] / rhs[None, pos]).min(axis=1)
@@ -413,7 +401,8 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
     *_fail arrays apply the documented tolerances.  Rows near Pi get no Hessian; the others
     are differenced HESSIAN_CHUNK rows at a time, and a row is skipped as
     stencil_unfit or stencil_crosses_pi when no step above the noise
-    floor keeps its stencil in D_Q or on one B43 branch.
+    floor keeps its stencil in D_Q with a resolved curvature, or on one
+    B43 branch.
     """
     n = x.shape[0]
     comps = components_batch(x, q)
@@ -435,8 +424,7 @@ def _row_verdicts(x: np.ndarray, q: float, cfg: SuiteConfig,
         crosses_pi[idx[crosses]] = True
         if fitted.any():
             sub = idx[fitted]
-            margins, ratios_sub = hessian_margins(hess[fitted], directions, q,
-                                                  x.shape[1] - 5)
+            margins, ratios_sub = hessian_margins(hess[fitted], directions, q)
             hess_margin[sub] = margins / scale_b[sub]
             ratios[sub] = ratios_sub
     return {
@@ -618,10 +606,10 @@ def mollify_eval(x, ctx: QContext, eps: float, mc: int, seed) -> float:
     return float(np.dot(psi, vals) / psi.sum())
 
 
-def _mollify_probe_points(q: float, eps: float) -> np.ndarray:
-    """A few interior rows (Z, H, zeta, nu, r, s) whose eps-ball comfortably fits in D_Q."""
+def _mollify_probe_points(q: float, eps: float, eta_dim: int) -> np.ndarray:
+    """A few interior rows (Z, H, zeta, nu, 0..., r, s) whose eps-ball comfortably fits in D_Q."""
     if q < 1.0 + 8.0 * eps + 1e-9:
-        return np.empty((0, 6))
+        return np.empty((0, 5 + eta_dim))
     pts = []
     u_mid = (1.0 + q) / 2.0
     for zscale, frac in ((2.0, 0.3), (10.0, 0.0), (5.0, 0.6)):
@@ -631,7 +619,7 @@ def _mollify_probe_points(q: float, eps: float) -> np.ndarray:
         h = z
         zeta = frac * math.sqrt(0.25 * z * r)
         nu = frac * math.sqrt(0.25 * h * s)
-        pts.append((z, h, zeta, nu, r, s))
+        pts.append((z, h, zeta, nu) + (0.0,) * (eta_dim - 1) + (r, s))
     return np.array(pts)
 
 
@@ -693,7 +681,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
 
     # mollified size bound (only when configured)
     if cfg.mollify_eps > 0:
-        probes = _mollify_probe_points(q, cfg.mollify_eps)
+        probes = _mollify_probe_points(q, cfg.mollify_eps, cfg.eta_dim)
         fails = 0
         margin = math.inf
         gap = 0.0

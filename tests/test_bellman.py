@@ -211,6 +211,34 @@ def test_pi_distance_vanishes_on_pi():
         0.0, abs=1e-14)
 
 
+def _pi_distance_by_ratios(x, q):
+    """Reference: the relative gaps of K/Q to |zeta| s / |eta| and |eta| r / |zeta|."""
+    za, nu, r, s = np.abs(x[:, 2]), np.linalg.norm(x[:, 3:-2], axis=1), x[:, -2], x[:, -1]
+    k_over_q = aux_raw("K", r, s, q) / q
+    out = np.full(x.shape[0], np.inf)
+    ok = (za > 0) & (nu > 0)
+    r1 = np.abs(k_over_q[ok] - za[ok] * s[ok] / nu[ok]) / k_over_q[ok]
+    r2 = np.abs(k_over_q[ok] - nu[ok] * r[ok] / za[ok]) / k_over_q[ok]
+    out[ok] = np.minimum(r1, r2)
+    return out
+
+
+@pytest.mark.parametrize("eta_dim", [1, 3])
+@pytest.mark.parametrize("q", [2.0, 10.0, 100.0])
+def test_pi_distance_matches_ratio_formula(q, eta_dim):
+    """Pi's distance from the critical parameter's numerator and denominator
+    agrees with the K/Q ratio formula to rounding, with the same +inf rows
+    and the same near-Pi flags."""
+    x = sample_columns(q, eta_dim, 100_000, _rng(23))
+    x[::97, 2] = 0.0                  # zeta = 0
+    x[1::89, 3:-2] = 0.0              # eta = 0
+    d, ref = pi_distance_batch(x, q), _pi_distance_by_ratios(x, q)
+    assert np.array_equal(np.isinf(d), np.isinf(ref)) and np.isinf(d).sum() > 2000
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(d[fin] - ref[fin]) <= 1e-14 * (1.0 + ref[fin]))
+    assert np.array_equal(d <= 1e-3, ref <= 1e-3)
+
+
 def test_domain_validation():
     validate(Q1, 1, 1, 0, 0, 1, 1)                      # the corner point is in D_1
     with pytest.raises(DomainError):

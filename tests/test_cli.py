@@ -46,6 +46,22 @@ def test_verify_bellman_rejects_q_below_one(tmp_path):
     assert not out.exists()       # usage errors never write partial output
 
 
+def test_mollifier_runs_at_any_eta_dim(tmp_path):
+    """The mollifier probes the radial profile, so its check and gap are the
+    same at eta_dim 3 as at eta_dim 1."""
+    reports = []
+    for eta_dim in ("1", "3"):
+        out = tmp_path / f"m{eta_dim}.json"
+        assert run(["verify-bellman", "--eta-dim", eta_dim, "--mollify-eps", "0.01",
+                    "--mc-samples", "10", "--samples", "200", "--aux-grid-n", "20",
+                    "--out", str(out)]) == 0
+        report = _load(out)
+        reports.append(([c for c in report["checks"] if c["name"].startswith("mollify")],
+                        [m for m in report["measurements"] if m["name"].startswith("mollify")]))
+    assert reports[0] == reports[1]
+    assert len(reports[0][0]) == 4 and len(reports[0][1]) == 3
+
+
 def test_determinism_modulo_timestamp(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

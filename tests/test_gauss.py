@@ -70,12 +70,29 @@ def test_hermite_values(n, x, expected):
         expected / math.sqrt(math.factorial(n)), rel=1e-14)
 
 
+def _hermite_design_reference(nmax, x):
+    """The normalized recurrence with a fresh array per step."""
+    prev, curr = np.zeros_like(x), np.ones_like(x)
+    out = [curr]
+    for k in range(nmax):
+        prev, curr = curr, (x * curr - math.sqrt(k) * prev) / math.sqrt(k + 1)
+        out.append(curr)
+    return np.stack(out, axis=-1)
+
+
 def test_hermite_orthonormal_scaling():
-    """hermite_eval's in-place recurrence gives the design's hhat_n, also at large n and |x|."""
+    """hermite_eval's in-place recurrence gives the design's hhat_n, also at large n and |x|,
+    and both equal the allocating recurrence bit for bit."""
     x = np.linspace(-30.0, 30.0, 601)
     for n in (4, 17, 40):
         assert np.allclose(hermite_eval(n, x), hermite_design(n, x)[:, n],
                            rtol=1e-12, atol=0.0)
+    rng = np.random.default_rng(5)
+    for shape, n in (((256, 80), 3), ((160,), 32), ((5, 128, 80), 12), ((100001,), 40)):
+        x = 4.0 * rng.normal(size=shape)
+        ref = _hermite_design_reference(n, x)
+        assert np.array_equal(hermite_design(n, x), ref)
+        assert np.array_equal(hermite_eval(n, x), ref[..., n])
     assert hermite_eval(4, 1.3) == pytest.approx(
         (1.3**4 - 6 * 1.3**2 + 3) / math.sqrt(24), rel=1e-13)
 

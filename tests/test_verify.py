@@ -98,13 +98,19 @@ def test_fd_hessian_matches_analytic_b1():
 
 
 def test_fd_hessian_pure_z_direction_vanishes():
-    # B_Q is affine in Z and H, so their rows and columns are exact zeros
+    """B_Q is affine in Z and H: their second differences vanish to rounding,
+    so the Hessian is the (zeta, eta, r, s) block alone, with no zero entry."""
     x = np.array([[2.0, 3.0, 0.5, 0.7, 1.1, 1.4]])
     hess, _, fitted, _ = fd_hessian_batch(x, 2.0, 1e-4)
     assert fitted[0]
-    assert np.all(hess[0, :2, :] == 0.0)
-    assert np.all(hess[0, :, :2] == 0.0)
-    assert np.all(hess[0, 2:, 2:] != 0.0)
+    assert hess.shape == (1, 4, 4)
+    assert np.all(hess[0] != 0.0)
+    b = bq_batch(x, 2.0)[0]
+    for col in (0, 1):
+        e = np.zeros_like(x)
+        e[0, col] = 2e-4 * max(1.0, abs(x[0, col]))
+        d2 = bq_batch(x + e, 2.0)[0] - 2 * b + bq_batch(x - e, 2.0)[0]
+        assert abs(d2) <= 1e-13 * abs(b)
 
 
 @pytest.mark.parametrize("eta_dim", [1, 3])
@@ -123,12 +129,12 @@ def test_bq_is_affine_in_z_and_h(q, eta_dim):
             assert np.all(err <= 1e-12 * (np.abs(b) + np.abs(by)))
 
 
-def _stencil_branches(x_row, q, used_h):
-    """B43 branches of every point of the block stencil at step used_h."""
-    offsets, _, _ = _stencil_template(x_row.size - 2)
+def _stencil_points(x_row, used_h):
+    """Every point of the block stencil of x_row at step used_h."""
+    offsets = _stencil_template(x_row.size - 2)[0]
     pts = np.repeat(x_row[None, :], len(offsets), axis=0)
     pts[:, 2:] += used_h * np.maximum(1.0, np.abs(x_row[2:])) * offsets
-    return b43_branch_batch(pts, q)
+    return pts
 
 
 def test_fd_hessian_stencil_stays_on_one_b43_branch():
@@ -147,10 +153,10 @@ def test_fd_hessian_stencil_stays_on_one_b43_branch():
         rows.append([1.0, 1.0, zeta, nu, r, s])
     x = np.array(rows)
     assert np.all(pi_distance_batch(x, q) > 1e-3)
-    assert len(set(_stencil_branches(x[0], q, 1e-4))) == 2
+    assert len(set(b43_branch_batch(_stencil_points(x[0], 1e-4), q))) == 2
     hess, used_h, fitted, crosses = fd_hessian_batch(x, q, 1e-4)
     assert fitted[0] and not crosses[0] and used_h[0] < 1e-4
-    assert len(set(_stencil_branches(x[0], q, used_h[0]))) == 1
+    assert len(set(b43_branch_batch(_stencil_points(x[0], used_h[0]), q))) == 1
     assert not fitted[1] and crosses[1] and np.all(np.isnan(hess[1]))
 
     cfg = SuiteConfig(q_list=(q,), samples_per_q=1, seed=0)
@@ -172,17 +178,26 @@ def test_fd_hessian_one_pass_is_exact(q, eta_dim):
     rows = np.flatnonzero(fitted & (used_h == h))     # fitted at level 0
     assert rows.size > 250
     xr = x[rows]
-    offsets, diag_idx, cross_idx = _stencil_template(xr.shape[1] - 2)
+    nb = xr.shape[1] - 2
+    offsets, diag, pairs, cross = _stencil_template(nb)
+    # the layout: centre, +-2e_i per coordinate, then the four cross points per pair
+    assert np.array_equal(offsets[diag[:, 0]], 2 * np.eye(nb))
+    assert np.array_equal(offsets[diag[:, 1]], -2 * np.eye(nb))
+    for p, (i, j) in enumerate(zip(*pairs)):
+        assert i < j
+        assert offsets[cross[p]][:, [i, j]].tolist() == [[1, 1], [1, -1], [-1, 1], [-1, -1]]
     steps = h * np.maximum(1.0, np.abs(xr[:, 2:]))
     pts = np.repeat(xr[:, None, :], len(offsets), axis=1)
     pts[:, :, 2:] += steps[:, None, :] * offsets[None, :, :]
     pts = pts.reshape(-1, xr.shape[1])
     f = bq_batch(pts, q).reshape(rows.size, -1)
     ref = np.zeros_like(hess[rows])
-    for i, (ip, im) in diag_idx.items():
-        ref[:, 2 + i, 2 + i] = (f[:, ip] - 2 * f[:, 0] + f[:, im]) / (4 * steps[:, i] ** 2)
-    for (i, j), (pp, pm, mp, mm) in cross_idx.items():
-        ref[:, 2 + i, 2 + j] = ref[:, 2 + j, 2 + i] = (
+    for i in range(nb):
+        ip, im = diag[i]
+        ref[:, i, i] = (f[:, ip] - 2 * f[:, 0] + f[:, im]) / (4 * steps[:, i] ** 2)
+    for p, (i, j) in enumerate(zip(*pairs)):
+        pp, pm, mp, mm = cross[p]
+        ref[:, i, j] = ref[:, j, i] = (
             (f[:, pp] - f[:, pm] - f[:, mp] + f[:, mm]) / (4 * steps[:, i] * steps[:, j]))
     assert np.array_equal(hess[rows], ref)
     comps, branch = _components(pts, q)
@@ -192,24 +207,29 @@ def test_fd_hessian_one_pass_is_exact(q, eta_dim):
 
 @pytest.mark.parametrize("eta_dim", [1, 3])
 def test_hessian_margins_block_gemm_matches_full_einsum(eta_dim):
-    """The block matmul agrees with the 6x6 einsum over the full Hessian.
+    """The block matmul agrees with the einsum over the full Hessian.
 
-    The reference takes its minimum over the directions with a nonzero
-    (zeta, eta, r, s) part: on +-e_Z and +-e_H every form is exactly 0, so
-    a minimum over all directions is never above 0 and says nothing about
-    the block.  Both sides are compared to 1e-12 of the row's absolute
-    form sum dX^T|H||dX| (ratios: of that sum over the rhs), the scale of
-    their rounding.
+    The reference pads the block with B_Q's zero Z and H rows and columns
+    and adds +-e_Z and +-e_H to the directions.  On those four every form
+    is exactly 0, so a minimum over all directions is never above 0 and
+    says nothing about the block: the reference takes its minimum over the
+    directions with a nonzero (zeta, eta, r, s) part.  Both sides are
+    compared to 1e-12 of the row's absolute form sum dX^T|H||dX| (ratios:
+    of that sum over the rhs), the scale of their rounding.
     """
     q = 2.0
     x = sample_columns(q, eta_dim, 400, _rng(41))
     hess, _, fitted, _ = fd_hessian_batch(x, q, 1e-4)
     hess = hess[fitted]
     d = hessian_directions(x.shape[1], 64, _rng(43))
-    margins, ratios = hessian_margins(hess, d, q, eta_dim)
+    margins, ratios = hessian_margins(hess, d, q)
 
-    forms = -np.einsum("nij,ki,kj->nk", hess, d, d)
-    scale = np.einsum("nij,ki,kj->nk", np.abs(hess), np.abs(d), np.abs(d))
+    full = np.zeros((hess.shape[0], x.shape[1], x.shape[1]))
+    full[:, 2:, 2:] = hess
+    eye_zh = np.eye(x.shape[1])[:2]
+    d = np.concatenate([eye_zh, -eye_zh, d])
+    forms = -np.einsum("nij,ki,kj->nk", full, d, d)
+    scale = np.einsum("nij,ki,kj->nk", np.abs(full), np.abs(d), np.abs(d))
     rhs = (4.0 / q) * np.abs(d[:, 2]) * np.linalg.norm(d[:, 3:3 + eta_dim], axis=1)
     assert np.all((forms - rhs).min(axis=1) <= 0.0)
     block = np.any(d[:, 2:] != 0, axis=1)
@@ -224,6 +244,29 @@ def test_hessian_margins_block_gemm_matches_full_einsum(eta_dim):
     assert np.array_equal(margins / scale_b < -HESSIAN_TOL,
                           ref_margins / scale_b < -HESSIAN_TOL)
     assert np.all(margins > 0.0)      # the block minimum, not the flat 0.0
+
+
+def test_fd_hessian_unresolved_curvature_is_unfit():
+    """A stencil that fits D_Q and one B43 branch, but whose e_s second
+    difference is exactly 0.0 (below float64 resolution at h = 3.125e-6),
+    leaves its row unfitted and counts it as stencil_unfit."""
+    q = 10.0
+    x = np.array([[0.0013449386129296159, 0.05259828411170809, 0.0001983609534059356,
+                   0.00038289296588813544, -0.00015049920284162876, 0.00021886102450122583,
+                   0.14004924359239576, 10.477561427317324]])
+    h = 3.125e-6
+    pts = _stencil_points(x[0], h)
+    assert in_domain_batch(pts, q).all() and len(set(b43_branch_batch(pts, q))) == 1
+    f = bq_batch(pts, q)
+    ip, im = _stencil_template(6)[1][5]
+    assert f[ip] - 2 * f[0] + f[im] == 0.0        # H_ss
+    for step in (1e-4, h):
+        hess, used_h, fitted, crosses = fd_hessian_batch(x, q, step)
+        assert not fitted[0] and not crosses[0]
+        assert np.isnan(used_h[0]) and np.all(np.isnan(hess[0]))
+    cfg = SuiteConfig(q_list=(q,), samples_per_q=1, eta_dim=3, seed=0)
+    v = _row_verdicts(x, q, cfg, _directions(QContext(q, 3), cfg))
+    assert v["stencil_unfit"][0] and v["hessian_margin"][0] == np.inf
 
 
 def test_fd_hessian_richardson_consistency():
@@ -253,9 +296,14 @@ def test_fd_hessian_batch_symmetry():
 
 
 def test_hessian_directions_shape_and_norm():
+    """+-e_i for the 4 block axes only, then the rng's unit vectors in all 6 coordinates."""
     d = hessian_directions(6, 64, _rng(0))
-    assert d.shape == (2 * 6 + 64, 6)
+    assert d.shape == (2 * 4 + 64, 6)
     assert np.allclose(np.linalg.norm(d, axis=1), 1.0, atol=1e-12)
+    eye = np.eye(6)[2:]
+    assert np.array_equal(d[:8], np.concatenate([eye, -eye]))
+    rand = _rng(0).normal(size=(64, 6))
+    assert np.array_equal(d[8:], rand / np.linalg.norm(rand, axis=1, keepdims=True))
 
 
 def test_more_directions_never_help():
@@ -267,8 +315,8 @@ def test_more_directions_never_help():
     d64 = hessian_directions(6, 64, _rng(123))
     d128 = hessian_directions(6, 128, _rng(123))   # same first 64 rows
     assert np.array_equal(d128[: d64.shape[0]], d64)
-    m64, _ = hessian_margins(hess[fitted], d64, 2.0, 1)
-    m128, _ = hessian_margins(hess[fitted], d128, 2.0, 1)
+    m64, _ = hessian_margins(hess[fitted], d64, 2.0)
+    m128, _ = hessian_margins(hess[fitted], d128, 2.0)
     assert np.all(m128 <= m64 + 1e-15)
 
 
