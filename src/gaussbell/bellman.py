@@ -34,8 +34,6 @@ C4 = 288.0 / 13.0
 #: contract uses the coarser 80(Z+H).
 SIZE_CONSTANT = 80.0
 
-AUX_KINDS = ("M", "N", "K", "Mtilde", "Ntilde")
-
 
 class DomainError(ValueError):
     """Input lies outside the Bellman domain (or violates a precondition)."""
@@ -64,42 +62,49 @@ class QContext:
 # auxiliary functions
 # ---------------------------------------------------------------------------
 
-def aux_raw(kind: str, r, s, q: float):
-    """Closed form of an auxiliary function, no domain check (array friendly).
+#: kind -> (closed form, size bound, right-hand side rhs(r, s, vr, vs) of the
+#: concavity check -d^2 f[v] >= rhs for v = (vr, vs)).  The closed forms are
+#: smooth on r, s > 0; the size bounds only hold on the slab 1 <= rs <= Q.
+_AUX = {
+    "M": (lambda r, s, q: -4 * q * q / r - r * s * s + (4 * q * q + 1) * s,
+          lambda r, s, q: 5 * q * q * s,
+          lambda r, s, vr, vs: r * vs * vs),
+    "N": (lambda r, s, q: -4 * q * q / s - s * r * r + (4 * q * q + 1) * r,
+          lambda r, s, q: 5 * q * q * r,
+          lambda r, s, vr, vs: s * vr * vr),
+    "K": (lambda r, s, q: math.sqrt(q) * np.sqrt(r * s) - r * s / 4,
+          lambda r, s, q: q * np.ones(np.broadcast(r, s).shape),
+          lambda r, s, vr, vs: np.abs(vr * vs) / 4.0),
+    "Mtilde": (lambda r, s, q: -4 * q / s - r * r * s / (4 * q) + (4 * q + 1) * r,
+               lambda r, s, q: 5 * q * r,
+               lambda r, s, vr, vs: np.abs(vr * vs) / s),
+    "Ntilde": (lambda r, s, q: -4 * q / r - s * s * r / (4 * q) + (4 * q + 1) * s,
+               lambda r, s, q: 5 * q * s,
+               lambda r, s, vr, vs: np.abs(vr * vs) / r),
+}
 
-    These expressions are smooth on r, s > 0; the size bounds proved for
-    them only hold on the slab 1 <= r*s <= Q.
-    """
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if kind == "M":
-        return -4 * q * q / r - r * s * s + (4 * q * q + 1) * s
-    if kind == "N":
-        return -4 * q * q / s - s * r * r + (4 * q * q + 1) * r
-    if kind == "K":
-        return math.sqrt(q) * np.sqrt(r * s) - r * s / 4
-    if kind == "Mtilde":
-        return -4 * q / s - r * r * s / (4 * q) + (4 * q + 1) * r
-    if kind == "Ntilde":
-        return -4 * q / r - s * s * r / (4 * q) + (4 * q + 1) * s
-    raise DomainError(f"unknown auxiliary kind {kind!r}; expected one of {AUX_KINDS}")
+AUX_KINDS = tuple(_AUX)
+
+
+def _aux(kind: str, slot: int):
+    if kind not in _AUX:
+        raise DomainError(f"unknown auxiliary kind {kind!r}; expected one of {AUX_KINDS}")
+    return _AUX[kind][slot]
+
+
+def aux_raw(kind: str, r, s, q: float):
+    """Closed form of an auxiliary function, no domain check (array friendly)."""
+    return _aux(kind, 0)(np.asarray(r, dtype=float), np.asarray(s, dtype=float), q)
 
 
 def aux_size_bound(kind: str, r, s, q: float):
     """Upper size bound of an auxiliary function on the slab 1 <= rs <= Q."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if kind == "M":
-        return 5 * q * q * s
-    if kind == "N":
-        return 5 * q * q * r
-    if kind == "K":
-        return q * np.ones(np.broadcast(r, s).shape)
-    if kind == "Mtilde":
-        return 5 * q * r
-    if kind == "Ntilde":
-        return 5 * q * s
-    raise DomainError(f"unknown auxiliary kind {kind!r}")
+    return _aux(kind, 1)(np.asarray(r, dtype=float), np.asarray(s, dtype=float), q)
+
+
+def aux_hessian_rhs(kind: str, r, s, vr, vs):
+    """Right-hand side of the concavity inequality -d^2 f[v] >= rhs for v = (vr, vs)."""
+    return _aux(kind, 2)(r, s, vr, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +144,6 @@ def _critical_parameter(zeta, eta2, r, s, k, q: float):
     za, nu = np.abs(zeta), np.sqrt(eta2)
     num, den = q * r * nu - k * za, q * s * za - k * nu
     return num, den, 2 * (num <= 0) + (den <= 0)
-
-
-def b43_branch_batch(x: np.ndarray, q: float) -> np.ndarray:
-    """B43's critical-parameter branch (0 to 3, see _critical_parameter) per row."""
-    x = np.asarray(x, dtype=float)
-    _, _, zeta, eta2, r, s = _split_columns(x)
-    return _critical_parameter(zeta, eta2, r, s, aux_raw("K", r, s, q), q)[2]
 
 
 def _components(x: np.ndarray, q: float):
@@ -213,16 +211,6 @@ def components_batch(x: np.ndarray, q: float) -> np.ndarray:
 def bq_batch(x: np.ndarray, q: float) -> np.ndarray:
     """Weighted sum C1*B1 + C2*B2 + C3*B3 + C4*(B41+B42+B43), batched."""
     return _weighted_sum(*_components(x, q)[0])
-
-
-def radial_batch(z, h, za, nu, r, s, q: float) -> np.ndarray:
-    """B_Q on the radial profile (Z, H, |zeta|, |eta|, r, s), batched.
-
-    Accepts arbitrary-sign za, nu; only their squares and absolute values
-    enter, which matches the even extension of the radial profile.
-    """
-    cols = np.column_stack([z, h, np.abs(za), np.abs(nu), r, s])
-    return bq_batch(cols, q)
 
 
 def pi_distance_batch(x: np.ndarray, q: float) -> np.ndarray:

@@ -50,7 +50,7 @@ from .gauss import (
     q2_characteristic,
 )
 from .report import CheckResult, Measurement, VerificationReport
-from .verify import SuiteConfig, aux_checks, run_suite
+from .verify import SuiteConfig, run_aux_grid, run_suite
 
 EMBED_TOL = 1e-6
 REPR_TOL = 1e-6
@@ -216,7 +216,7 @@ def _cmd_verify_bellman(cfg: dict) -> VerificationReport:
 def _cmd_aux_bounds(cfg: dict) -> VerificationReport:
     checks = []
     for q in _numbers(cfg["q"]):
-        checks.extend(aux_checks(QContext(q), cfg["grid_n"], cfg["fd_step"], f"Q={q:g}"))
+        checks.extend(run_aux_grid(QContext(q), cfg["grid_n"], cfg["fd_step"], f"Q={q:g}"))
     return _report(cfg, checks, [])
 
 

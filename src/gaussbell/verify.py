@@ -39,13 +39,13 @@ from .bellman import (
     DomainError,
     QContext,
     _split_columns,
+    aux_hessian_rhs,
     aux_raw,
     aux_size_bound,
     beta_values,
     bq_batch,
     components_batch,
     pi_distance_batch,
-    radial_batch,
 )
 from .report import CheckResult, Measurement, VerificationReport
 
@@ -90,15 +90,15 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples_per_q < 1:
             raise DomainError("samples_per_q must be >= 1")
-        if not (self.fd_step > 0):
-            raise DomainError("fd_step must be > 0")
+        if not (0 < self.fd_step < math.inf):
+            raise DomainError("fd_step must be finite and > 0")
         # a relative band of width >= 1 around K/Q contains 0: it no longer localizes Pi
         if not (0 < self.pi_exclusion < 1):
             raise DomainError("pi_exclusion must be in (0, 1)")
         if self.eta_dim < 1:
             raise DomainError("eta_dim must be >= 1")
-        if not (self.mollify_eps >= 0):
-            raise DomainError("mollify_eps must be >= 0")
+        if not (0 <= self.mollify_eps < math.inf):
+            raise DomainError("mollify_eps must be finite and >= 0")
         if self.directions_per_point < 0:
             raise DomainError("directions_per_point must be >= 0")
         if self.mc_samples < 0:
@@ -338,19 +338,20 @@ def sign_forward_diff_batch(x: np.ndarray, q: float, h: float):
     """One-sided d/dnu of the radial profile; returns (fd, fits).
 
     Forward step h*(1+nu); evaluated only where (nu+step)^2 <= H s keeps
-    the stepped point inside the radial domain.
+    the stepped point inside the radial domain.  B_Q is even in zeta and
+    eta (it reads zeta^2, |zeta| and |eta|^2), so bq_batch on the rows
+    (Z, H, |zeta|, nu, r, s) is the radial profile.
     """
     z, hh, zeta, eta2, r, s = _split_columns(x)
-    za = np.abs(zeta)
     nu = np.sqrt(eta2)
     step = h * (1.0 + nu)
     fits = (nu + step) ** 2 <= hh * s
     fd = np.full(x.shape[0], np.nan)
     if fits.any():
-        b0 = radial_batch(z[fits], hh[fits], za[fits], nu[fits], r[fits], s[fits], q)
-        b1 = radial_batch(z[fits], hh[fits], za[fits], nu[fits] + step[fits],
-                          r[fits], s[fits], q)
-        fd[fits] = (b1 - b0) / step[fits]
+        rows = np.column_stack([c[fits] for c in (z, hh, np.abs(zeta), nu, r, s)])
+        b0 = bq_batch(rows, q)
+        rows[:, 3] += step[fits]
+        fd[fits] = (bq_batch(rows, q) - b0) / step[fits]
     return fd, fits
 
 
@@ -455,20 +456,6 @@ _AUX_DIRECTIONS = np.column_stack([
 ])
 
 
-def _aux_hessian_rhs(kind, r, s, vr, vs):
-    if kind == "M":
-        return r * vs * vs
-    if kind == "N":
-        return s * vr * vr
-    if kind == "K":
-        return np.abs(vr * vs) / 4.0
-    if kind == "Mtilde":
-        return np.abs(vr * vs) / s
-    if kind == "Ntilde":
-        return np.abs(vr * vs) / r
-    raise DomainError(f"unknown auxiliary kind {kind!r}")
-
-
 def aux_margins_batch(r: np.ndarray, s: np.ndarray, q: float, h: float):
     """Size and Hessian slacks of all five auxiliary functions, batched.
 
@@ -500,7 +487,7 @@ def aux_margins_batch(r: np.ndarray, s: np.ndarray, q: float, h: float):
         worst = np.full(r.shape, np.inf)
         for vr, vs in _AUX_DIRECTIONS:
             form = -(hrr * vr * vr + 2 * hrs * vr * vs + hss * vs * vs)
-            worst = np.minimum(worst, form - _aux_hessian_rhs(kind, r, s, vr, vs))
+            worst = np.minimum(worst, form - aux_hessian_rhs(kind, r, s, vr, vs))
         out[kind] = (size_margin, worst)
     return out
 
@@ -525,40 +512,18 @@ def aux_grid_nodes(q: float, n: int):
     return rg, sg
 
 
-def run_aux_grid(ctx: QContext, n: int, h: float) -> dict:
-    """Aggregate auxiliary certificates over the n-by-n slab grid."""
+def run_aux_grid(ctx: QContext, n: int, h: float, label: str) -> list:
+    """The aux_size and aux_hessian checks of the n-by-n slab grid, worst kind per node."""
     rg, sg = aux_grid_nodes(ctx.q, n)
     margins = aux_margins_batch(rg, sg, ctx.q, h)
-    size_worst = np.full(rg.shape, np.inf)
-    hess_worst = np.full(rg.shape, np.inf)
-    for sm, hm in margins.values():
-        size_worst = np.minimum(size_worst, sm)
-        hess_worst = np.minimum(hess_worst, hm)
-    i_s = int(np.argmin(size_worst))
-    i_h = int(np.argmin(hess_worst))
-    return {
-        "count": rg.size,
-        "size_failures": int(np.sum(size_worst < -AUX_SIZE_TOL)),
-        "hessian_failures": int(np.sum(hess_worst < -AUX_HESSIAN_TOL)),
-        "size_worst": float(size_worst[i_s]),
-        "size_worst_at": {"r": float(rg[i_s]), "s": float(sg[i_s])},
-        "hessian_worst": float(hess_worst[i_h]),
-        "hessian_worst_at": {"r": float(rg[i_h]), "s": float(sg[i_h])},
-    }
+    size_worst, hess_worst = np.min(list(margins.values()), axis=0)
 
+    def where(i):
+        return {"r": float(rg[i]), "s": float(sg[i])}
 
-def aux_checks(ctx: QContext, n: int, h: float, label: str) -> list:
-    """The aux_size and aux_hessian checks of the n-by-n slab grid."""
-    aux = run_aux_grid(ctx, n, h)
-    return [
-        CheckResult(name=f"aux_size[{label}]", count=aux["count"],
-                    failures=aux["size_failures"], worst_margin=aux["size_worst"],
-                    argmax_location=aux["size_worst_at"]),
-        CheckResult(name=f"aux_hessian[{label}]", count=aux["count"],
-                    failures=aux["hessian_failures"],
-                    worst_margin=aux["hessian_worst"],
-                    argmax_location=aux["hessian_worst_at"]),
-    ]
+    return [_check(f"aux_size[{label}]", size_worst, size_worst < -AUX_SIZE_TOL, 0, where),
+            _check(f"aux_hessian[{label}]", hess_worst, hess_worst < -AUX_HESSIAN_TOL,
+                   0, where)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +552,7 @@ def mollify_eval(x, ctx: QContext, eps: float, mc: int, seed) -> float:
     z, h, zeta, eta2, r, s = _split_columns(x[None, :])
     base = np.concatenate([z, h, np.abs(zeta), np.sqrt(eta2), r, s])
     if eps == 0.0:
-        return float(radial_batch(*base[:, None], ctx.q)[0])
+        return float(bq_batch(base[None, :], ctx.q)[0])
 
     rng = _rng(seed)
     direction = rng.normal(size=(mc, 6))
@@ -602,7 +567,7 @@ def mollify_eval(x, ctx: QContext, eps: float, mc: int, seed) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         norm2 = np.sum(u * u, axis=1)
         psi = np.exp(-1.0 / np.maximum(1.0 - norm2, 1e-300))
-    vals = radial_batch(*pts.T, ctx.q)
+    vals = bq_batch(pts, ctx.q)
     return float(np.dot(psi, vals) / psi.sum())
 
 
@@ -627,33 +592,35 @@ def _mollify_probe_points(q: float, eps: float, eta_dim: int) -> np.ndarray:
 # the suite
 # ---------------------------------------------------------------------------
 
-def _location(x_row) -> dict:
-    return {"point": [float(v) for v in x_row]}
+def _check(name: str, margin: np.ndarray, fail: np.ndarray, skipped: int,
+           where) -> CheckResult:
+    """A check over one margin per case; the worst case is the first arg-min.
+
+    where(i) gives the location of case i.  The worst margin and its
+    location are None when no margin is finite (every case skipped).
+    """
+    i = int(np.argmin(margin))
+    done = bool(np.isfinite(margin[i]))
+    return CheckResult(name=name, count=margin.size, failures=int(fail.sum()),
+                       skipped=skipped, worst_margin=float(margin[i]) if done else None,
+                       argmax_location=where(i) if done else None)
 
 
 def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None:
     ctx = QContext(q, cfg.eta_dim)
     label = f"Q={q:g}"
-    n = cfg.samples_per_q
-    x = sample_columns(q, cfg.eta_dim, n, _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q)])))
+    x = sample_columns(q, cfg.eta_dim, cfg.samples_per_q, _rng(np.random.SeedSequence([cfg.seed, int(1e6 * q)])))
     v = _row_verdicts(x, q, cfg, _directions(ctx, cfg))
     zh = x[:, 0] + x[:, 1]
 
-    def check(kind, skipped):
-        margin = v[f"{kind}_margin"]
-        i = int(np.argmin(margin))
-        done = bool(np.isfinite(margin[i]))
-        checks.append(CheckResult(
-            name=f"{kind}[{label}]", count=n, failures=int(v[f"{kind}_fail"].sum()),
-            skipped=skipped,
-            worst_margin=float(margin[i]) if done else None,
-            argmax_location=_location(x[i]) if done else None))
+    def at(i):
+        return {"point": x[i].tolist()}
 
-    check("size", 0)
+    checks.append(_check(f"size[{label}]", v["size_margin"], v["size_fail"], 0, at))
     ratio = v["b"] / zh
     measurements.append(Measurement(
         name=f"observed_size_sup[{label}]", value=float(np.max(ratio)),
-        location=_location(x[int(np.argmax(ratio))])))
+        location=at(int(np.argmax(ratio)))))
 
     # unweighted six-bound (recorded, not asserted)
     us = v["unweighted"]
@@ -661,13 +628,15 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
     iu = int(np.argmin(um))
     measurements.append(Measurement(
         name=f"unweighted_six_bound_min_margin[{label}]",
-        value=float(um[iu]), location=_location(x[iu])))
+        value=float(um[iu]), location=at(iu)))
 
-    check("sign", int((~v["sign_fits"]).sum()))
+    checks.append(_check(f"sign[{label}]", v["sign_margin"], v["sign_fail"],
+                         int((~v["sign_fits"]).sum()), at))
     reasons = {key: int(v[key].sum())
                for key in ("near_pi", "stencil_unfit", "stencil_crosses_pi")}
     skipped = sum(reasons.values())
-    check("hessian", skipped)
+    checks.append(_check(f"hessian[{label}]", v["hessian_margin"], v["hessian_fail"],
+                         skipped, at))
     if skipped:
         measurements.append(Measurement(
             name=f"hessian_skip_reasons[{label}]", value=skipped, location=reasons))
@@ -677,7 +646,7 @@ def _run_q(q: float, cfg: SuiteConfig, checks: list, measurements: list) -> None
             name=f"min_deriv_ratio[{label}]", value=min_ratio))
 
     # auxiliary certificates on the slab grid
-    checks.extend(aux_checks(ctx, cfg.aux_grid_n, cfg.fd_step, label))
+    checks.extend(run_aux_grid(ctx, cfg.aux_grid_n, cfg.fd_step, label))
 
     # mollified size bound (only when configured)
     if cfg.mollify_eps > 0:

@@ -199,6 +199,9 @@ def test_parser_flags_come_from_defaults():
     ["verify-bellman", "--mollify-eps", "0.01"],
     ["verify-bellman", "--pi-exclusion", "inf"],
     ["verify-bellman", "--pi-exclusion", "1"],
+    ["verify-bellman", "--fd-step", "inf"],
+    ["verify-bellman", "--samples", "50", "--aux-grid-n", "4", "--mollify-eps", "inf",
+     "--mc-samples", "10"],
     ["verify-bellman", "--q", ""],
     ["aux-bounds", "--q", ""],
     ["repr-check", "--n", ""],

@@ -1,11 +1,16 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark still finds every name it wraps, reads and calls.
 
 perfbench/tracing.py rebinds public functions and two methods of the
-package by name; a deleted or renamed target would crash the benchmark
-but no other test.  The tracer is loaded by path and only read.
+package by name, and the workloads call library functions with fixed
+arguments; a deleted or renamed target, or a renamed parameter, would
+crash the benchmark but no other test.  The perfbench files are only
+read: the tracer is loaded by path, the rest is parsed.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -53,3 +58,45 @@ def test_tracer_installs_and_uninstalls_cleanly():
     finally:
         tracer.uninstall()
     assert _same(before, _state())
+
+
+PERFBENCH = TRACING.parent
+
+
+def _perfbench_calls():
+    """Each perfbench file's `<module>.<name>` references into gaussbell.
+
+    Module aliases come only from the file's own ``from gaussbell import``
+    lines, so a local variable that shadows a module name elsewhere (as
+    ``report`` does in workloads.py) is not mistaken for the module.
+    Yields (where, object, the call node or None when it is not called).
+    """
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "gaussbell"
+                   for a in node.names}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                module = importlib.import_module(f"gaussbell.{aliases[node.value.id]}")
+                where = f"{path.name}:{node.lineno} {node.attr}"
+                assert hasattr(module, node.attr), f"{where}: not in {module.__name__}"
+                yield where, getattr(module, node.attr), calls.get(id(node))
+
+
+def test_perfbench_names_and_call_signatures_exist():
+    """Every gaussbell name perfbench reads exists, and each direct call binds
+    to its signature (positional count and keyword names)."""
+    seen = 0
+    for where, obj, call in _perfbench_calls():
+        seen += 1
+        if (call is None or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            continue
+        try:
+            inspect.signature(obj).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+    assert seen > 20

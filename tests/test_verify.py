@@ -3,14 +3,16 @@ import pytest
 
 from gaussbell import __version__
 from gaussbell.bellman import (
+    AUX_KINDS,
     C1,
     C2,
     C3,
     C4,
     DomainError,
     QContext,
+    aux_hessian_rhs,
     aux_raw,
-    b43_branch_batch,
+    aux_size_bound,
     bq_batch,
     components_batch,
     pi_distance_batch,
@@ -22,6 +24,7 @@ from gaussbell.verify import (
     AUX_SIZE_TOL,
     HESSIAN_TOL,
     SuiteConfig,
+    aux_grid_nodes,
     aux_margins_batch,
     fd_hessian_batch,
     hessian_directions,
@@ -31,6 +34,7 @@ from gaussbell.verify import (
     run_suite,
     sample_columns,
     sign_forward_diff_batch,
+    _AUX_DIRECTIONS,
     _directions,
     _rng,
     _row_verdicts,
@@ -153,10 +157,10 @@ def test_fd_hessian_stencil_stays_on_one_b43_branch():
         rows.append([1.0, 1.0, zeta, nu, r, s])
     x = np.array(rows)
     assert np.all(pi_distance_batch(x, q) > 1e-3)
-    assert len(set(b43_branch_batch(_stencil_points(x[0], 1e-4), q))) == 2
+    assert len(set(_components(_stencil_points(x[0], 1e-4), q)[1])) == 2
     hess, used_h, fitted, crosses = fd_hessian_batch(x, q, 1e-4)
     assert fitted[0] and not crosses[0] and used_h[0] < 1e-4
-    assert len(set(b43_branch_batch(_stencil_points(x[0], used_h[0]), q))) == 1
+    assert len(set(_components(_stencil_points(x[0], used_h[0]), q)[1])) == 1
     assert not fitted[1] and crosses[1] and np.all(np.isnan(hess[1]))
 
     cfg = SuiteConfig(q_list=(q,), samples_per_q=1, seed=0)
@@ -171,7 +175,8 @@ def test_fd_hessian_stencil_stays_on_one_b43_branch():
 def test_fd_hessian_one_pass_is_exact(q, eta_dim):
     """The column-major one-pass stencil gives the Hessians of a row-major
     stencil evaluated through bq_batch, bit for bit, and its B43 branch is
-    b43_branch_batch's."""
+    criterion 5's sign pattern of num = Q r nu - K|zeta| and
+    den = Q s|zeta| - K nu."""
     h = 1e-4
     x = sample_columns(q, eta_dim, 300, _rng(31))
     hess, used_h, fitted, _ = fd_hessian_batch(x, q, h)
@@ -201,7 +206,11 @@ def test_fd_hessian_one_pass_is_exact(q, eta_dim):
             (f[:, pp] - f[:, pm] - f[:, mp] + f[:, mm]) / (4 * steps[:, i] * steps[:, j]))
     assert np.array_equal(hess[rows], ref)
     comps, branch = _components(pts, q)
-    assert np.array_equal(branch, b43_branch_batch(pts, q))
+    za, nu = np.abs(pts[:, 2]), np.sqrt(np.sum(pts[:, 3:-2] ** 2, axis=1))
+    r, s = pts[:, -2], pts[:, -1]
+    k = aux_raw("K", r, s, q)
+    num, den = q * r * nu - k * za, q * s * za - k * nu
+    assert np.array_equal(branch, 2 * (num <= 0) + (den <= 0))
     assert np.array_equal(np.column_stack(comps).sum(axis=1), components_batch(pts, q).sum(axis=1))
 
 
@@ -256,7 +265,7 @@ def test_fd_hessian_unresolved_curvature_is_unfit():
                    0.14004924359239576, 10.477561427317324]])
     h = 3.125e-6
     pts = _stencil_points(x[0], h)
-    assert in_domain_batch(pts, q).all() and len(set(b43_branch_batch(pts, q))) == 1
+    assert in_domain_batch(pts, q).all() and len(set(_components(pts, q)[1])) == 1
     f = bq_batch(pts, q)
     ip, im = _stencil_template(6)[1][5]
     assert f[ip] - 2 * f[0] + f[im] == 0.0        # H_ss
@@ -327,6 +336,36 @@ def test_sign_forward_diff_skips_when_step_exits():
     assert not fits[0]
 
 
+def _radial_reference(z, h, za, nu, r, s, q):
+    """B_Q on the radial profile from its coordinate columns, signs of za and nu dropped."""
+    return bq_batch(np.column_stack([z, h, np.abs(za), np.abs(nu), r, s]), q)
+
+
+@pytest.mark.parametrize("eta_dim", [1, 3])
+@pytest.mark.parametrize("q", [2.0, 10.0, 100.0])
+def test_radial_rows_are_exact(q, eta_dim):
+    """bq_batch on the rows (Z, H, |zeta|, nu, r, s) is the radial profile bit
+    for bit, and B_Q is even in zeta and eta."""
+    x = sample_columns(q, eta_dim, 2000, _rng(59))
+    h = 1e-4
+    z, hh, zeta, eta, r, s = x[:, 0], x[:, 1], x[:, 2], x[:, 3:-2], x[:, -2], x[:, -1]
+    za, nu = np.abs(zeta), np.sqrt(np.sum(eta ** 2, axis=1))
+    step = h * (1.0 + nu)
+    fits = (nu + step) ** 2 <= hh * s
+    cols = [c[fits] for c in (z, hh, za, nu, r, s)]
+    b0 = _radial_reference(*cols, q)
+    cols[3] = cols[3] + step[fits]
+    ref = np.full(x.shape[0], np.nan)
+    ref[fits] = (_radial_reference(*cols, q) - b0) / step[fits]
+    fd, got_fits = sign_forward_diff_batch(x, q, h)
+    assert fits.any()
+    assert np.array_equal(got_fits, fits)
+    assert np.array_equal(fd, ref, equal_nan=True)
+    flipped = x.copy()
+    flipped[:, 2:-2] *= -1.0
+    assert np.array_equal(bq_batch(x, q), bq_batch(flipped, q))
+
+
 # ---------------------------------------------------------------------------
 # point verdicts
 # ---------------------------------------------------------------------------
@@ -391,6 +430,29 @@ def test_verify_aux_hessian_matches_analytic_m():
            + aux_raw("M", r, s - 2 * h, q)) / (4 * h * h)
     assert -hss == pytest.approx(2.0, abs=1e-6)
     assert -hss >= r
+
+
+#: each kind's concavity right-hand side, written out apart from bellman's aux table
+_AUX_RHS_REFERENCE = {
+    "M": lambda r, s, vr, vs: r * vs * vs,
+    "N": lambda r, s, vr, vs: s * vr * vr,
+    "K": lambda r, s, vr, vs: np.abs(vr * vs) / 4.0,
+    "Mtilde": lambda r, s, vr, vs: np.abs(vr * vs) / s,
+    "Ntilde": lambda r, s, vr, vs: np.abs(vr * vs) / r,
+}
+
+
+def test_aux_table_rhs_and_unknown_kind():
+    assert set(AUX_KINDS) == set(_AUX_RHS_REFERENCE)
+    r, s = aux_grid_nodes(10.0, 20)
+    for kind in AUX_KINDS:
+        for vr, vs in _AUX_DIRECTIONS:
+            assert np.array_equal(aux_hessian_rhs(kind, r, s, vr, vs),
+                                  _AUX_RHS_REFERENCE[kind](r, s, vr, vs))
+    for lookup, args in ((aux_raw, (1.0, 1.0, 2.0)), (aux_size_bound, (1.0, 1.0, 2.0)),
+                         (aux_hessian_rhs, (1.0, 1.0, 0.6, 0.8))):
+        with pytest.raises(DomainError):
+            lookup("Z", *args)
 
 
 @pytest.mark.parametrize("h", [0.0, -1e-4, float("nan"), float("inf")])
@@ -460,6 +522,8 @@ def test_suite_config_validation():
     with pytest.raises(DomainError):
         SuiteConfig(fd_step=0.0)
     with pytest.raises(DomainError):
+        SuiteConfig(fd_step=float("inf"))
+    with pytest.raises(DomainError):
         SuiteConfig(pi_exclusion=-1.0)
     with pytest.raises(DomainError):
         SuiteConfig(pi_exclusion=float("inf"))  # would skip every Hessian row
@@ -471,6 +535,8 @@ def test_suite_config_validation():
         SuiteConfig(mollify_eps=0.01)         # mollification needs mc_samples >= 1
     with pytest.raises(DomainError):
         SuiteConfig(mollify_eps=float("nan"), mc_samples=10)
+    with pytest.raises(DomainError):
+        SuiteConfig(mollify_eps=float("inf"), mc_samples=10)   # no probe fits: count 0
 
 
 def test_run_suite_counts_and_determinism():
